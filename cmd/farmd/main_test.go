@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"regexp"
@@ -13,7 +14,6 @@ import (
 
 	"repro/internal/duv/iounit"
 	"repro/internal/farm"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/template"
 )
@@ -65,6 +65,9 @@ func TestFarmdServesAndDrainsOnSignal(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatalf("farmd never reported its listen address; stderr:\n%s", stderr.String())
 	}
+	if banner := fmt.Sprintf("protocol v%d", farm.ProtocolVersion); !strings.Contains(stdout.String(), banner) {
+		t.Fatalf("startup banner missing %q:\n%s", banner, stdout.String())
+	}
 
 	d := farm.New([]string{addr}, farm.Options{})
 	defer d.Close()
@@ -114,67 +117,16 @@ func TestFarmdServesAndDrainsOnSignal(t *testing.T) {
 	}
 }
 
-// TestFarmdProtoFlag boots the daemon pinned to protocol v1 and checks
-// the startup banner states the cap and that dispatchers negotiate
-// down to v1 against it.
-func TestFarmdProtoFlag(t *testing.T) {
-	stdout := &addrWatcher{addr: make(chan string, 1)}
-	var stderr bytes.Buffer
-	code := make(chan int, 1)
-	go func() {
-		code <- run([]string{"-listen", "127.0.0.1:0", "-capacity", "1", "-proto", "1", "-drain", "2s"}, stdout, &stderr)
-	}()
-	var addr string
-	select {
-	case addr = <-stdout.addr:
-	case <-time.After(10 * time.Second):
-		t.Fatalf("farmd never reported its listen address; stderr:\n%s", stderr.String())
-	}
-	if !strings.Contains(stdout.String(), "protocol <= v1") {
-		t.Fatalf("startup banner missing protocol cap:\n%s", stdout.String())
-	}
-
-	rec := obs.NewRecorder()
-	d := farm.New([]string{addr}, farm.Options{Rec: rec})
-	defer d.Close()
-	if err := d.WaitReady(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	unit := iounit.New()
-	chunk := sim.RemoteChunk{
-		Unit: iounit.UnitName, Seed: 5, Lo: 0, Hi: 50, Events: unit.Model().Size(),
-	}
-	if _, err := d.RunChunk(chunk); err != nil {
-		t.Fatal(err)
-	}
-	snap := rec.Metrics.Snapshot()
-	if snap.Gauges["farm.proto_version"] != 1 {
-		t.Fatalf("farm.proto_version = %d, want 1 against a -proto 1 worker", snap.Gauges["farm.proto_version"])
-	}
-	if snap.Counters["farm.conns_v2"] != 0 {
-		t.Fatalf("%d v2 connections against a -proto 1 worker", snap.Counters["farm.conns_v2"])
-	}
-
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case c := <-code:
-		if c != 0 {
-			t.Fatalf("exit code = %d, want 0; stderr:\n%s", c, stderr.String())
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("farmd did not exit after SIGTERM")
-	}
-}
-
 func TestFarmdFlagErrorExitsTwo(t *testing.T) {
-	var stderr bytes.Buffer
-	if code := run([]string{"-no-such-flag"}, io.Discard, &stderr); code != 2 {
-		t.Fatalf("exit code = %d, want 2", code)
-	}
-	if !strings.Contains(stderr.String(), "flag provided but not defined") {
-		t.Fatalf("stderr missing flag diagnostic:\n%s", stderr.String())
+	// farmd speaks exactly farm.ProtocolVersion and takes no -proto.
+	for _, args := range [][]string{{"-no-such-flag"}, {"-proto", "1"}} {
+		var stderr bytes.Buffer
+		if code := run(args, io.Discard, &stderr); code != 2 {
+			t.Fatalf("%v: exit code = %d, want 2", args, code)
+		}
+		if !strings.Contains(stderr.String(), "flag provided but not defined") {
+			t.Fatalf("%v: stderr missing flag diagnostic:\n%s", args, stderr.String())
+		}
 	}
 }
 

@@ -36,10 +36,10 @@ func canonicalReport(t *testing.T, r *Report) []byte {
 		Sims        uint64   `json:"sims"`
 	}
 	doc := struct {
-		Unit         string  `json:"unit"`
-		TargetEvents []int   `json:"target_events"`
-		Chosen       []any   `json:"chosen"`
-		Phases       []phase `json:"phases"`
+		Unit         string    `json:"unit"`
+		TargetEvents []int     `json:"target_events"`
+		Chosen       []any     `json:"chosen"`
+		Phases       []phase   `json:"phases"`
 		BestWeights  []float64 `json:"best_weights"`
 		BestTemplate string    `json:"best_template"`
 		Progress     any       `json:"progress"`

@@ -78,30 +78,16 @@ func diffCounts(t *testing.T, label string, got, want *coverage.Counts) {
 
 // farmFixture wires a loopback fleet to a dispatcher.
 func farmFixture(t *testing.T, faults []Faults, rec *obs.Recorder) (*Dispatcher, []*Server) {
-	return farmFixtureV(t, faults, nil, 0, rec)
-}
-
-// farmFixtureV is farmFixture with protocol caps: serverMax[i] bounds
-// worker i's negotiable version (nil or 0: highest supported) and
-// dispMax bounds the dispatcher's (0: highest supported) — the
-// mixed-fleet fixture.
-func farmFixtureV(t *testing.T, faults []Faults, serverMax []int, dispMax int, rec *obs.Recorder) (*Dispatcher, []*Server) {
 	t.Helper()
 	lb := NewLoopback()
 	addrs := make([]string, len(faults))
 	servers := make([]*Server, len(faults))
 	for i, f := range faults {
-		maxV := 0
-		if serverMax != nil {
-			maxV = serverMax[i]
-		}
-		servers[i] = NewServer(ServerOptions{Capacity: 2, DrainTimeout: 2 * time.Second, MaxVersion: maxV})
+		servers[i] = NewServer(ServerOptions{Capacity: 2, DrainTimeout: 2 * time.Second})
 		addrs[i] = string(rune('a' + i))
 		lb.Add(addrs[i], servers[i], f)
 	}
-	opts := testOptions(lb.Dial, rec)
-	opts.MaxVersion = dispMax
-	d := New(addrs, opts)
+	d := New(addrs, testOptions(lb.Dial, rec))
 	t.Cleanup(d.Close)
 	t.Cleanup(func() {
 		for _, s := range servers {
@@ -280,9 +266,7 @@ func TestServerDrain(t *testing.T) {
 		client, server := net.Pipe()
 		go srv.ServeConn(server)
 		client.SetDeadline(time.Now().Add(10 * time.Second))
-		// No Max field: the session negotiates v1, so the raw frames
-		// below stay JSON.
-		if err := WriteFrame(client, &Frame{Type: TypeHello, Version: ProtocolV1}); err != nil {
+		if err := WriteFrame(client, &Frame{Type: TypeHello, Version: handshakeVersion, Max: ProtocolVersion}); err != nil {
 			t.Fatal(err)
 		}
 		var f Frame
@@ -297,7 +281,7 @@ func TestServerDrain(t *testing.T) {
 	defer idle.Close()
 
 	// A chunk big enough to still be in flight when Shutdown starts.
-	if err := WriteFrame(busy, &Frame{
+	if err := WriteFrameV2(busy, &Frame{
 		Type: TypeChunk, ID: 1, Unit: iounit.UnitName, Seed: 7, Lo: 0, Hi: 30000,
 	}); err != nil {
 		t.Fatal(err)
@@ -310,7 +294,7 @@ func TestServerDrain(t *testing.T) {
 	}()
 
 	var res Frame
-	if err := ReadFrame(busy, &res); err != nil {
+	if err := ReadFrameV2(busy, &res); err != nil {
 		t.Fatalf("in-flight chunk was severed instead of drained: %v", err)
 	}
 	if res.Type != TypeResult || res.ID != 1 || res.Err != "" || res.Sims != 30000 {
@@ -318,7 +302,7 @@ func TestServerDrain(t *testing.T) {
 	}
 	// The idle connection is gone (read fails rather than blocking).
 	var f Frame
-	if err := ReadFrame(idle, &f); err == nil {
+	if err := ReadFrameV2(idle, &f); err == nil {
 		t.Fatalf("idle connection survived shutdown: %+v", f)
 	}
 	select {
@@ -331,7 +315,7 @@ func TestServerDrain(t *testing.T) {
 	defer client.Close()
 	go srv.ServeConn(server)
 	client.SetDeadline(time.Now().Add(5 * time.Second))
-	WriteFrame(client, &Frame{Type: TypeHello, Version: ProtocolV1})
+	WriteFrame(client, &Frame{Type: TypeHello, Version: handshakeVersion, Max: ProtocolVersion})
 	if err := ReadFrame(client, &f); err == nil {
 		t.Fatalf("draining server answered handshake: %+v", f)
 	}

@@ -304,14 +304,25 @@ func TestByzantineFleetAcceptance(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
+// workerConnected reports whether the dispatcher holds a live
+// connection to the worker at addr.
+func workerConnected(d *Dispatcher, addr string) bool {
+	for _, h := range d.Health() {
+		if h.Addr == addr && h.Conns > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // TestHedgedStragglerExecution pins down hedged chunk execution in the
 // topology where it must engage: two clean workers and one straggler
 // whose single connection answers an order of magnitude slower than the
 // fleet p95. Because the straggler's dial handshake is itself delayed,
-// the latency ring warms up entirely from fast samples before the
-// straggler ever completes an exchange — so every chunk unlucky enough
-// to start on it is hedged onto a clean lane, the hedge wins, and the
-// aggregate stays bit-identical with bounded duplicate work.
+// a warm-up pass fills the latency ring entirely from fast samples
+// before the straggler joins — so every chunk unlucky enough to start
+// on it is hedged onto a clean lane, the hedge wins, and the aggregate
+// stays bit-identical with bounded duplicate work.
 func TestHedgedStragglerExecution(t *testing.T) {
 	const drivers = 8
 	base := runtime.NumGoroutine()
@@ -353,12 +364,28 @@ func TestHedgedStragglerExecution(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Warm the ring on the clean workers, then wait for the straggler to
+	// join, so the measured pass starts with it in the fleet however
+	// fast the clean workers drain their share.
+	warm, _ := chunkPlan(t, "c-warm", 12, 80)
+	diffCounts(t, "warm-up", driveChunks(t, d, env, warm, events, drivers), localCounts(t, env, warm, events))
+	deadline := time.Now().Add(10 * time.Second)
+	for !workerConnected(d, "b") {
+		if time.Now().After(deadline) {
+			t.Fatal("straggler never joined the fleet")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	hedges0 := rec.Counter("farm.hedges").Value()
+	wins0 := rec.Counter("farm.hedge_wins").Value()
+	hedged0 := rec.Counter("farm.hedged_sims").Value()
+
 	got := driveChunks(t, d, env, chunks, events, drivers)
 	diffCounts(t, "hedged straggler", got, want)
 
-	hedges := rec.Counter("farm.hedges").Value()
-	wins := rec.Counter("farm.hedge_wins").Value()
-	hedged := rec.Counter("farm.hedged_sims").Value()
+	hedges := rec.Counter("farm.hedges").Value() - hedges0
+	wins := rec.Counter("farm.hedge_wins").Value() - wins0
+	hedged := rec.Counter("farm.hedged_sims").Value() - hedged0
 	totalSims := uint64(0)
 	for _, c := range chunks {
 		totalSims += uint64(c.Hi - c.Lo)

@@ -13,25 +13,18 @@
 // any fleet size, under any failure pattern, and with remote execution
 // disabled entirely.
 //
-// The wire protocol has two codecs behind one framing. Every frame is
-// one 4-byte big-endian length followed by exactly that many bytes of
-// payload, bounded by MaxFrame — framing is the load-bearing part. The
-// handshake (hello/welcome) is always v1: length-prefixed JSON, so it
+// The wire protocol is one binary codec behind one framing. Every
+// frame is one 4-byte big-endian length followed by exactly that many
+// bytes of payload, bounded by MaxFrame — framing is the load-bearing
+// part. The handshake (hello/welcome) is length-prefixed JSON, so it
 // needs nothing beyond the standard library, stays debuggable with
-// nc/tcpdump, and any build can negotiate with any other. The hello
-// advertises the client's highest supported protocol version (Max) and
-// the welcome answers with the negotiated one; when both ends support
-// a binary version the rest of the session switches to the compact
-// binary codec (wire_v2.go) — no reflection, no encoding/json, dense
-// varint hit arrays — and otherwise it stays on v1 JSON frames, so
-// mixed fleets keep working.
-//
-// v3 is v2 plus a trace-correlation trailer (campaign/batch/chunk IDs
-// and the peer's build identity). The fields are purely observational —
-// no result bit depends on them — and negotiation keeps old peers
-// working unchanged: a v2 session simply omits the trailer (the strict
-// v2 decoder never sees bytes it does not know), while v1 JSON carries
-// the same fields as omitempty keys old JSON decoders ignore.
+// nc/tcpdump, and any build can read the refusal of any other. The
+// hello offers ProtocolVersion in Max; a server answers a welcome
+// echoing it, or an error frame naming both versions when they differ.
+// After the welcome the session switches to the compact binary codec
+// (wire_v2.go) — no reflection, no encoding/json, dense varint hit
+// arrays, and a trace-correlation trailer (campaign/batch/chunk IDs and
+// the peer's build identity) that no result bit depends on.
 package farm
 
 import (
@@ -45,59 +38,18 @@ import (
 	"repro/internal/template"
 )
 
-// Protocol versions. The handshake itself is always spoken in v1 JSON
-// frames with Version == ProtocolV1 — that field is the *handshake
-// framing* version, which never changes — while the Max field carries
-// the highest chunk-path codec the peer supports. The server answers
-// with the negotiated version (min of both maxima) and both ends
-// switch codecs after the welcome.
-const (
-	// ProtocolV1 is the original codec: length-prefixed JSON frames.
-	ProtocolV1 = 1
-	// ProtocolV2 is the compact binary codec: fixed header +
-	// varint/fixed fields, dense varint-packed hit-count arrays, pooled
-	// encode/decode buffers (see wire_v2.go).
-	ProtocolV2 = 2
-	// ProtocolV3 is the v2 binary codec plus the trace-correlation
-	// trailer: campaign string, batch and chunk sequence uvarints, and
-	// the peer's build string, so worker-side spans carry the
-	// originating chunk's identity.
-	ProtocolV3 = 3
-	// ProtocolVersion is the highest protocol version this build
-	// speaks. Bump on any frame layout or semantics change.
-	ProtocolVersion = ProtocolV3
-)
+// ProtocolVersion is the chunk-path codec this build speaks, offered
+// in the hello's Max field and echoed in the welcome's. Peers must
+// match exactly: there is no negotiation. Bump on any frame layout or
+// semantics change.
+const ProtocolVersion = 3
 
-// negotiate picks the chunk-path codec for a session from the two
-// peers' highest supported versions (0 means "field absent": a build
-// that predates negotiation, which speaks exactly v1).
-func negotiate(clientMax, serverMax int) int {
-	if clientMax < ProtocolV1 {
-		clientMax = ProtocolV1
-	}
-	if serverMax < ProtocolV1 {
-		serverMax = ProtocolV1
-	}
-	if clientMax < serverMax {
-		return clientMax
-	}
-	return serverMax
-}
+// handshakeVersion is the Version field of hello and welcome frames:
+// the version of the JSON handshake framing itself, which never
+// changes, so builds of any age can exchange a readable refusal.
+const handshakeVersion = 1
 
-// clampMaxVersion normalizes a user-supplied protocol bound: 0 (or
-// anything above ProtocolVersion) means "highest supported", anything
-// below v1 is v1.
-func clampMaxVersion(v int) int {
-	if v <= 0 || v > ProtocolVersion {
-		return ProtocolVersion
-	}
-	if v < ProtocolV1 {
-		return ProtocolV1
-	}
-	return v
-}
-
-// MaxFrame bounds a frame's JSON payload. Chunk requests carry one
+// MaxFrame bounds a frame's payload. Chunk requests carry one
 // template source (a few KiB) and results carry one hit-count slice
 // (8 bytes per event), so 4 MiB is orders of magnitude above any
 // legitimate frame while still rejecting garbage lengths (e.g. a peer
@@ -122,7 +74,8 @@ var (
 	// ErrFrameTooLarge reports a frame whose declared length exceeds
 	// MaxFrame (read side) or whose encoding would (write side).
 	ErrFrameTooLarge = errors.New("farm: frame exceeds MaxFrame")
-	// ErrVersionMismatch reports a handshake with an incompatible peer.
+	// ErrVersionMismatch reports a handshake refused over the codec
+	// version, or with a peer that does not speak the protocol.
 	ErrVersionMismatch = errors.New("farm: protocol version mismatch")
 )
 
@@ -131,50 +84,41 @@ var (
 // chunk before sending rather than shipping a request whose reply
 // would be unreadable, and a server refuses in-band for the same
 // reason. It is a typed error (not a bare ErrFrameTooLarge) so callers
-// can distinguish "this model can never work at this protocol version"
-// from a transient garbage frame.
+// can distinguish "this model can never travel" from a transient
+// garbage frame.
 type ModelTooLargeError struct {
 	// Events is the model's event count; MaxEvents is the largest
-	// count whose worst-case result payload fits MaxFrame at Version.
-	Events, MaxEvents, Version int
+	// count whose worst-case result payload fits MaxFrame.
+	Events, MaxEvents int
 }
 
 func (e *ModelTooLargeError) Error() string {
-	return fmt.Sprintf("farm: coverage model with %d events exceeds protocol v%d frame capacity (max %d events per %d-byte frame)",
-		e.Events, e.Version, e.MaxEvents, MaxFrame)
+	return fmt.Sprintf("farm: coverage model with %d events exceeds frame capacity (max %d events per %d-byte frame)",
+		e.Events, e.MaxEvents, MaxFrame)
 }
 
 // maxVarint64 is the worst-case encoded size of one uvarint field.
 const maxVarint64 = 10 // binary.MaxVarintLen64
 
-// v2ResultOverhead bounds every non-hits byte of a binary (v2/v3)
-// result frame: type byte + fixed seed + a dozen worst-case varint
-// fields, plus the v3 trace trailer (two varint IDs and two strings
-// that are empty on results). Kept deliberately generous; it only has
-// to be an upper bound.
+// v2ResultOverhead bounds every non-hits byte of a binary result
+// frame: type byte + fixed seed + a dozen worst-case varint fields,
+// plus the trace trailer (two varint IDs and two strings that are
+// empty on results). Kept deliberately generous; it only has to be an
+// upper bound.
 const v2ResultOverhead = 256
 
-// MaxEventsV2 is the largest coverage-model size whose worst-case v2
+// MaxEventsV2 is the largest coverage-model size whose worst-case
 // result frame (every hit count varint-maximal) still fits MaxFrame.
 func MaxEventsV2() int {
 	return (MaxFrame - v2ResultOverhead) / maxVarint64
 }
 
 // CheckModelFits reports whether a model of the given event count can
-// travel in result frames at the negotiated protocol version, computed
-// from MaxFrame — the size check the dispatcher runs before shipping a
-// chunk. v1's JSON encoding is bounded by the same worst case (a
-// 20-digit decimal count + separator per event stays under the 10-byte
-// varint bound only asymptotically, so v1 uses its own divisor).
-func CheckModelFits(events, version int) error {
-	max := MaxEventsV2()
-	if version < ProtocolV2 {
-		// Worst-case JSON: 20 digits + comma per count, plus slack for
-		// the envelope.
-		max = (MaxFrame - 1024) / 21
-	}
-	if events > max {
-		return &ModelTooLargeError{Events: events, MaxEvents: max, Version: version}
+// travel in result frames, computed from MaxFrame — the size check the
+// dispatcher runs before shipping a chunk.
+func CheckModelFits(events int) error {
+	if max := MaxEventsV2(); events > max {
+		return &ModelTooLargeError{Events: events, MaxEvents: max}
 	}
 	return nil
 }
@@ -188,11 +132,9 @@ type Frame struct {
 	Type    string `json:"t"`
 	Version int    `json:"v,omitempty"`
 
-	// Max is the version-negotiation field: on hello, the highest
-	// chunk-path protocol the client supports; on welcome, the version
-	// the server selected for the session. Absent (0) means v1 — a
-	// build that predates negotiation — so old and new builds always
-	// agree on a codec.
+	// Max is the chunk-path codec version: on hello, the one the client
+	// speaks; on welcome, the same value echoed back. Anything but
+	// ProtocolVersion is refused.
 	Max int `json:"max,omitempty"`
 
 	// Welcome: how many chunks the worker executes concurrently.
@@ -218,21 +160,19 @@ type Frame struct {
 	// Trace correlation (purely observational — no result bit depends
 	// on these): the originating campaign / batch / chunk identity the
 	// dispatcher stamps on chunk requests so worker-side spans line up
-	// with their dispatcher-side parents in a merged fleet trace. In v1
-	// sessions they travel as omitempty JSON keys old decoders ignore;
-	// v3 sessions append them as a binary trailer; v2 sessions drop
-	// them (the strict v2 decoder predates them). Build carries the
-	// peer's build identity on hello (client) and welcome (server).
+	// with their dispatcher-side parents in a merged fleet trace. The
+	// binary codec carries them in its trailer. Build carries the peer's
+	// build identity on hello (client) and welcome (server).
 	Campaign string `json:"camp,omitempty"`
 	Batch    uint64 `json:"batch,omitempty"`
 	Chunk    uint64 `json:"chunk,omitempty"`
 	Build    string `json:"build,omitempty"`
 }
 
-// WriteFrame encodes f as one length-prefixed frame. The prefix and
-// payload go out in a single Write call so stream wrappers that count
-// or mutate writes (the fault-injection loopback) see exactly one write
-// per frame.
+// WriteFrame encodes f as one length-prefixed JSON frame, the
+// handshake codec. The prefix and payload go out in a single Write
+// call so stream wrappers that count or mutate writes (the
+// fault-injection loopback) see exactly one write per frame.
 func WriteFrame(w io.Writer, f *Frame) error {
 	payload, err := json.Marshal(f)
 	if err != nil {
@@ -248,7 +188,7 @@ func WriteFrame(w io.Writer, f *Frame) error {
 	return err
 }
 
-// ReadFrame decodes one length-prefixed frame into f. It fails on
+// ReadFrame decodes one length-prefixed JSON frame into f. It fails on
 // truncated streams (io.ErrUnexpectedEOF), oversized declared lengths
 // (ErrFrameTooLarge, before allocating), and payloads that are not a
 // JSON frame. A clean EOF before any byte is io.EOF.
@@ -275,19 +215,13 @@ func ReadFrame(r io.Reader, f *Frame) error {
 	return nil
 }
 
-// chunkFrame encodes a scheduler chunk as a request frame. The template
-// travels as source text: Template.String() → template.Parse round-trips
-// exactly, and the server's plan cache is content-keyed, so re-parsing
-// per request costs one parse, not one compile.
-func chunkFrame(id uint64, c sim.RemoteChunk) *Frame {
-	f := &Frame{}
-	fillChunkFrame(f, id, c)
-	return f
-}
-
-// fillChunkFrame is chunkFrame into a caller-owned frame: the frame's
-// Hits capacity survives the reset, so a connection's reusable frame
-// keeps its decode buffer across requests.
+// fillChunkFrame encodes a scheduler chunk as a request frame into a
+// caller-owned frame. The template travels as source text:
+// Template.String() → template.Parse round-trips exactly, and the
+// server's plan cache is content-keyed, so re-parsing per request costs
+// one parse, not one compile. The frame's Hits capacity survives the
+// reset, so a connection's reusable frame keeps its decode buffer
+// across requests.
 func fillChunkFrame(f *Frame, id uint64, c sim.RemoteChunk) {
 	*f = Frame{
 		Type:     TypeChunk,

@@ -7,24 +7,25 @@ import (
 	"sync"
 )
 
-// Protocol v2: the chunk-path binary codec. Framing is unchanged — one
-// 4-byte big-endian length, then the payload, bounded by MaxFrame, one
-// Write call per frame — but the payload is a compact fixed layout
-// instead of JSON: a type byte, varint scalar fields, length-prefixed
-// strings, one fixed 8-byte seed, and the per-event hit counts as a
-// dense varint array. No reflection and no encoding/json run anywhere
-// on the chunk path, and both directions work against caller-owned,
-// grow-once scratch buffers (the per-connection codec) or a shared
-// sync.Pool (the stateless WriteFrameV2/ReadFrameV2), so steady-state
+// The chunk-path binary codec (introduced as protocol v2, hence the
+// file and the WriteFrameV2/ReadFrameV2 names; ProtocolVersion is its
+// current revision). Framing is the handshake's — one 4-byte
+// big-endian length, then the payload, bounded by MaxFrame, one Write
+// call per frame — but the payload is a compact fixed layout instead of
+// JSON: a type byte, varint scalar fields, length-prefixed strings, one
+// fixed 8-byte seed, and the per-event hit counts as a dense varint
+// array. No reflection and no encoding/json run anywhere on the chunk
+// path, and both directions work against caller-owned, grow-once
+// scratch buffers (the per-connection codec) or a shared sync.Pool
+// (the stateless WriteFrameV2/ReadFrameV2), so steady-state
 // encode/decode allocates nothing.
 //
 // Payload layout (all multi-byte scalars are unsigned varints except
 // Seed, which is fixed64 little-endian; strings are varint length +
 // bytes; every field of the flat Frame struct is always present, so
-// any Frame round-trips exactly and the v1 and v2 codecs are
-// interchangeable frame for frame):
+// any Frame round-trips exactly):
 //
-//	type     byte    (see v2 type table)
+//	type     byte    (see type table)
 //	version  uvarint
 //	max      uvarint
 //	capacity uvarint
@@ -38,18 +39,12 @@ import (
 //	sims     uvarint
 //	err      string
 //	nhits    uvarint, then nhits × uvarint hit counts
-//
-// Protocol v3 appends the trace-correlation trailer to the same
-// layout — the strict v2 decoder rejects trailing bytes, which is
-// exactly why the trailer rides behind a negotiated version bump
-// instead of being bolted onto v2 frames:
-//
-//	campaign string
+//	campaign string  (trace-correlation trailer)
 //	batch    uvarint
 //	chunk    uvarint
 //	build    string
 
-// v2 type bytes. 0 is deliberately invalid so an all-zero payload is
+// Type bytes. 0 is deliberately invalid so an all-zero payload is
 // rejected.
 const (
 	v2TypeHello byte = iota + 1
@@ -81,10 +76,10 @@ var v2ByteToType = [...]string{
 	v2TypeError:   TypeError,
 }
 
-// appendFrameV2 appends f's v2 payload to dst and returns the extended
-// slice. It fails on frames v2 cannot represent (unknown type,
-// negative scalar fields) rather than encoding garbage.
-func appendFrameV2(dst []byte, f *Frame) ([]byte, error) {
+// appendFrame appends f's binary payload to dst and returns the
+// extended slice. It fails on frames the codec cannot represent
+// (unknown type, negative scalar fields) rather than encoding garbage.
+func appendFrame(dst []byte, f *Frame) ([]byte, error) {
 	tb, ok := v2TypeToByte[f.Type]
 	if !ok {
 		return dst, fmt.Errorf("farm: v2 encode: unknown frame type %q", f.Type)
@@ -112,15 +107,6 @@ func appendFrameV2(dst []byte, f *Frame) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, uint64(len(f.Hits)))
 	for _, h := range f.Hits {
 		dst = binary.AppendUvarint(dst, h)
-	}
-	return dst, nil
-}
-
-// appendFrameV3 is appendFrameV2 plus the trace-correlation trailer.
-func appendFrameV3(dst []byte, f *Frame) ([]byte, error) {
-	dst, err := appendFrameV2(dst, f)
-	if err != nil {
-		return dst, err
 	}
 	dst = appendV2String(dst, f.Campaign)
 	dst = binary.AppendUvarint(dst, f.Batch)
@@ -213,19 +199,10 @@ func (r *v2Reader) u64(what string) uint64 {
 	return v
 }
 
-// decodeFrameV2 decodes one v2 payload into f, reusing f's Hits
-// capacity. Trailing bytes, truncated fields, unknown types and
-// implausible lengths are all rejected.
-func decodeFrameV2(p []byte, f *Frame) error {
-	return decodeFrameBinary(p, f, ProtocolV2)
-}
-
-// decodeFrameV3 additionally decodes the trace-correlation trailer.
-func decodeFrameV3(p []byte, f *Frame) error {
-	return decodeFrameBinary(p, f, ProtocolV3)
-}
-
-func decodeFrameBinary(p []byte, f *Frame, version int) error {
+// decodeFrame decodes one binary payload into f, reusing f's Hits
+// capacity. Trailing bytes, truncated fields (the trace trailer
+// included), unknown types and implausible lengths are all rejected.
+func decodeFrame(p []byte, f *Frame) error {
 	hits := f.Hits[:0]
 	*f = Frame{}
 	r := &v2Reader{p: p}
@@ -262,12 +239,10 @@ func decodeFrameBinary(p []byte, f *Frame, version int) error {
 		}
 		f.Hits = hits[:nhits]
 	}
-	if version >= ProtocolV3 {
-		f.Campaign = r.str("campaign")
-		f.Batch = r.uvarint("batch")
-		f.Chunk = r.uvarint("chunk")
-		f.Build = r.str("build")
-	}
+	f.Campaign = r.str("campaign")
+	f.Batch = r.uvarint("batch")
+	f.Chunk = r.uvarint("chunk")
+	f.Build = r.str("build")
 	if r.err != nil {
 		return r.err
 	}
@@ -277,34 +252,23 @@ func decodeFrameBinary(p []byte, f *Frame, version int) error {
 	return nil
 }
 
-// codec speaks one negotiated protocol version on one connection. A
-// connection is owned by exactly one goroutine at a time (dispatcher
-// lane, heartbeater, or server handler), so the codec's grow-once
-// scratch buffers are reused across every frame of the session without
-// synchronization — after warm-up the chunk path allocates nothing.
+// codec is one connection's binary codec. A connection is owned by
+// exactly one goroutine at a time (dispatcher lane, heartbeater, or
+// server handler), so the codec's grow-once scratch buffers are reused
+// across every frame of the session without synchronization — after
+// warm-up the chunk path allocates nothing.
 type codec struct {
-	version int
-	wbuf    []byte // encode scratch: 4-byte length prefix + payload
-	rbuf    []byte // decode scratch: one payload
+	wbuf []byte // encode scratch: 4-byte length prefix + payload
+	rbuf []byte // decode scratch: one payload
 }
 
-// write encodes f with the negotiated codec as one length-prefixed
-// frame in a single Write call (the contract the fault-injection
-// loopback counts on).
+// write encodes f as one length-prefixed frame in a single Write call
+// (the contract the fault-injection loopback counts on).
 func (c *codec) write(w io.Writer, f *Frame) error {
-	if c.version < ProtocolV2 {
-		return WriteFrame(w, f)
-	}
 	if cap(c.wbuf) < 4 {
 		c.wbuf = make([]byte, 4, 512)
 	}
-	var buf []byte
-	var err error
-	if c.version >= ProtocolV3 {
-		buf, err = appendFrameV3(c.wbuf[:4], f)
-	} else {
-		buf, err = appendFrameV2(c.wbuf[:4], f)
-	}
+	buf, err := appendFrame(c.wbuf[:4], f)
 	if err != nil {
 		return err
 	}
@@ -317,12 +281,9 @@ func (c *codec) write(w io.Writer, f *Frame) error {
 	return err
 }
 
-// read decodes one frame with the negotiated codec into f, reusing the
-// codec's payload scratch and f's Hits capacity.
+// read decodes one frame into f, reusing the codec's payload scratch
+// and f's Hits capacity.
 func (c *codec) read(r io.Reader, f *Frame) error {
-	if c.version < ProtocolV2 {
-		return ReadFrame(r, f)
-	}
 	// The header goes through the codec scratch, not a local array: a
 	// local would escape through the io.Reader interface and cost one
 	// heap allocation per frame.
@@ -347,15 +308,15 @@ func (c *codec) read(r io.Reader, f *Frame) error {
 		}
 		return err
 	}
-	return decodeFrameBinary(p, f, c.version)
+	return decodeFrame(p, f)
 }
 
 // codecPool backs the stateless WriteFrameV2/ReadFrameV2: transient
 // callers (handshake-free tools, fuzzers, benches) share pooled
 // scratch instead of allocating per frame.
-var codecPool = sync.Pool{New: func() any { return &codec{version: ProtocolV2} }}
+var codecPool = sync.Pool{New: func() any { return &codec{} }}
 
-// WriteFrameV2 encodes f as one v2 binary frame using pooled scratch.
+// WriteFrameV2 encodes f as one binary frame using pooled scratch.
 // Sessions should prefer a per-connection codec, which amortizes
 // without pool traffic.
 func WriteFrameV2(w io.Writer, f *Frame) error {
@@ -365,7 +326,7 @@ func WriteFrameV2(w io.Writer, f *Frame) error {
 	return err
 }
 
-// ReadFrameV2 decodes one v2 binary frame using pooled scratch.
+// ReadFrameV2 decodes one binary frame using pooled scratch.
 func ReadFrameV2(r io.Reader, f *Frame) error {
 	c := codecPool.Get().(*codec)
 	err := c.read(r, f)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"net"
 	"reflect"
 	"strings"
 	"testing"
@@ -18,7 +17,7 @@ import (
 
 // quickFrame builds a codec-representable frame from fuzz/quick raw
 // material (valid type, non-negative ints, valid UTF-8 strings — the
-// set both codecs promise to round-trip).
+// set the codec promises to round-trip).
 func quickFrame(typeIdx uint8, version, capacity uint16, id, seed, sims uint64,
 	lo, hi uint16, unit, errMsg string, hasTmpl bool, hits []uint64) Frame {
 	types := []string{TypeHello, TypeWelcome, TypeChunk, TypeResult, TypePing, TypePong, TypeError}
@@ -38,15 +37,25 @@ func quickFrame(typeIdx uint8, version, capacity uint16, id, seed, sims uint64,
 	if hasTmpl {
 		f.Template = "template t { weight Mode { a: 1; } }"
 	}
-	if len(hits) > 0 { // both codecs fold empty slices to nil
+	if len(hits) > 0 { // the codec folds empty slices to nil
 		f.Hits = hits
 	}
 	return f
 }
 
+// traceFrame is a representative chunk frame carrying the trace
+// trailer (campaign/batch/chunk identity plus the peer build string).
+func traceFrame() Frame {
+	return Frame{
+		Type: TypeChunk, ID: 9, Unit: "iounit",
+		Template: "template t { weight Mode { a: 1; } }", HasTemplate: true,
+		Seed: 77, Lo: 8, Hi: 24,
+		Campaign: "c000042", Batch: 13, Chunk: 123456, Build: "abc123def456",
+	}
+}
+
 // TestFrameRoundTripQuickV2 property-checks the binary codec: any
-// representable frame survives v2 encode → decode bit for bit, and the
-// v1 and v2 codecs decode to the identical frame.
+// representable frame survives encode → decode bit for bit.
 func TestFrameRoundTripQuickV2(t *testing.T) {
 	prop := func(typeIdx uint8, version, capacity uint16, id, seed, sims uint64,
 		lo, hi uint16, unit, errMsg string, hasTmpl bool, hits []uint64) bool {
@@ -55,214 +64,192 @@ func TestFrameRoundTripQuickV2(t *testing.T) {
 		if err := WriteFrameV2(&buf, &f); err != nil {
 			return false
 		}
-		var v2 Frame
-		if err := ReadFrameV2(&buf, &v2); err != nil {
+		var got Frame
+		if err := ReadFrameV2(&buf, &got); err != nil {
 			return false
 		}
-		if !reflect.DeepEqual(f, v2) {
-			return false
-		}
-		buf.Reset()
-		if err := WriteFrame(&buf, &f); err != nil {
-			return false
-		}
-		var v1 Frame
-		if err := ReadFrame(&buf, &v1); err != nil {
-			return false
-		}
-		return reflect.DeepEqual(v1, v2)
+		return reflect.DeepEqual(f, got)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestNegotiate(t *testing.T) {
-	cases := []struct{ client, server, want int }{
-		{2, 2, 2},
-		{1, 2, 1},
-		{2, 1, 1},
-		{0, 2, 1}, // field absent: pre-negotiation client
-		{2, 0, 1},
-		{1, 1, 1},
-		{3, 2, 2}, // future client against this build
-	}
-	for _, c := range cases {
-		if got := negotiate(c.client, c.server); got != c.want {
-			t.Errorf("negotiate(%d, %d) = %d, want %d", c.client, c.server, got, c.want)
-		}
-	}
-	clamp := []struct{ in, want int }{{0, ProtocolVersion}, {1, 1}, {2, 2}, {3, ProtocolVersion}, {-1, ProtocolVersion}}
-	for _, c := range clamp {
-		if got := clampMaxVersion(c.in); got != c.want {
-			t.Errorf("clampMaxVersion(%d) = %d, want %d", c.in, got, c.want)
-		}
-	}
-}
-
-// TestHandshakeNegotiation drives the server handshake directly and
-// checks the negotiated version lands in the welcome's Max field and
-// that the session actually speaks the negotiated codec afterwards.
-func TestHandshakeNegotiation(t *testing.T) {
-	cases := []struct {
-		name      string
-		serverMax int // ServerOptions.MaxVersion (0: highest)
-		helloMax  int
-		want      int
-	}{
-		{"both_current", 0, ProtocolVersion, ProtocolVersion},
-		{"old_client_no_max", 0, 0, ProtocolV1},
-		{"v1_capped_server", 1, ProtocolVersion, ProtocolV1},
-		{"v1_capped_client", 0, 1, ProtocolV1},
-		{"v2_capped_client", 0, 2, ProtocolV2},
-		{"future_client", 0, ProtocolVersion + 5, ProtocolVersion},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			srv := NewServer(ServerOptions{Capacity: 1, MaxVersion: tc.serverMax})
-			defer srv.Shutdown()
-			client, server := net.Pipe()
-			defer client.Close()
-			go srv.ServeConn(server)
-			client.SetDeadline(time.Now().Add(5 * time.Second))
-			if err := WriteFrame(client, &Frame{Type: TypeHello, Version: ProtocolV1, Max: tc.helloMax}); err != nil {
-				t.Fatal(err)
-			}
-			var welcome Frame
-			if err := ReadFrame(client, &welcome); err != nil {
-				t.Fatal(err)
-			}
-			if welcome.Type != TypeWelcome || welcome.Version != ProtocolV1 {
-				t.Fatalf("welcome = %+v", welcome)
-			}
-			if welcome.Max != tc.want {
-				t.Fatalf("negotiated v%d, want v%d", welcome.Max, tc.want)
-			}
-			// Prove the session switched codecs: a ping in the negotiated
-			// codec gets a pong in the negotiated codec.
-			cdc := &codec{version: welcome.Max}
-			if err := cdc.write(client, &Frame{Type: TypePing, ID: 77}); err != nil {
-				t.Fatal(err)
-			}
-			var pong Frame
-			if err := cdc.read(client, &pong); err != nil {
-				t.Fatal(err)
-			}
-			if pong.Type != TypePong || pong.ID != 77 {
-				t.Fatalf("pong = %+v", pong)
-			}
-		})
-	}
-}
-
-// TestDialNegotiation drives the dispatcher's side: what it stores in
-// the connection codec for old, capped, and lying peers.
-func TestDialNegotiation(t *testing.T) {
-	t.Run("old_worker_no_max", func(t *testing.T) {
-		// A pre-negotiation worker answers the welcome without Max and
-		// then speaks v1 only.
-		fakeDial := func(string) (net.Conn, error) {
-			client, server := net.Pipe()
-			go func() {
-				defer server.Close()
-				var f Frame
-				if ReadFrame(server, &f) != nil {
-					return
-				}
-				WriteFrame(server, &Frame{Type: TypeWelcome, Version: ProtocolV1, Capacity: 1})
-				var p Frame
-				if ReadFrame(server, &p) == nil && p.Type == TypePing {
-					WriteFrame(server, &Frame{Type: TypePong, ID: p.ID})
-				}
-			}()
-			return client, nil
-		}
-		d := New(nil, Options{Dial: fakeDial})
-		defer d.Close()
-		w, capacity, err := d.dial(0, "old")
+// TestFrameRoundTripQuickV3 property-checks the trace trailer over
+// frames with arbitrary trace identities: binary encode → decode is the
+// identity, and the JSON handshake codec agrees field for field.
+func TestFrameRoundTripQuickV3(t *testing.T) {
+	prop := func(typeIdx uint8, id, seed uint64, lo, hi uint16, unit string,
+		campaign, build string, batch, chunkID uint64, hits []uint64) bool {
+		f := quickFrame(typeIdx, 1, 4, id, seed, uint64(len(hits)), lo, hi, unit, "", false, hits)
+		f.Campaign = strings.ToValidUTF8(campaign, "?")
+		f.Build = strings.ToValidUTF8(build, "?")
+		f.Batch = batch
+		f.Chunk = chunkID
+		p, err := appendFrame(nil, &f)
 		if err != nil {
-			t.Fatal(err)
+			return false
 		}
-		defer w.conn.Close()
-		if w.cdc.version != ProtocolV1 || capacity != 1 {
-			t.Fatalf("negotiated v%d cap %d, want v1 cap 1", w.cdc.version, capacity)
+		var bin Frame
+		if err := decodeFrame(p, &bin); err != nil {
+			return false
 		}
-		if err := d.ping(w); err != nil {
-			t.Fatalf("v1 session ping: %v", err)
+		if !reflect.DeepEqual(f, bin) {
+			return false
 		}
-	})
-	t.Run("overbidding_worker", func(t *testing.T) {
-		// A broken worker that "negotiates" above what we offered must be
-		// refused — accepting would desynchronize the codecs.
-		fakeDial := func(string) (net.Conn, error) {
-			client, server := net.Pipe()
-			go func() {
-				defer server.Close()
-				var f Frame
-				if ReadFrame(server, &f) != nil {
-					return
-				}
-				WriteFrame(server, &Frame{Type: TypeWelcome, Version: ProtocolV1, Max: ProtocolVersion + 7, Capacity: 1})
-			}()
-			return client, nil
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, &f); err != nil {
+			return false
 		}
-		d := New(nil, Options{Dial: fakeDial, Heartbeat: -1})
-		defer d.Close()
-		if _, _, err := d.dial(0, "liar"); !errors.Is(err, ErrVersionMismatch) {
-			t.Fatalf("err = %v, want ErrVersionMismatch", err)
+		var js Frame
+		if err := ReadFrame(&buf, &js); err != nil {
+			return false
 		}
-	})
+		return reflect.DeepEqual(js, bin)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
 }
 
-// TestV2EncodeRejects checks the encoder refuses frames v2 cannot
-// represent instead of writing garbage.
+// TestFrameRoundTripV3 locks the trace fields on both codecs: the
+// binary chunk-path codec carries them in its trailer, and the JSON
+// handshake codec carries them as keys (Build travels on hello and
+// welcome).
+func TestFrameRoundTripV3(t *testing.T) {
+	f := traceFrame()
+
+	var buf bytes.Buffer
+	c := &codec{}
+	if err := c.write(&buf, &f); err != nil {
+		t.Fatal(err)
+	}
+	var got Frame
+	if err := c.read(&buf, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(f, got) {
+		t.Fatalf("binary round trip:\n%+v\nvs\n%+v", got, f)
+	}
+
+	buf.Reset()
+	if err := WriteFrame(&buf, &f); err != nil {
+		t.Fatal(err)
+	}
+	var js Frame
+	if err := ReadFrame(&buf, &js); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(f, js) {
+		t.Fatalf("JSON round trip dropped trace fields:\n%+v\nvs\n%+v", js, f)
+	}
+}
+
+// TestChunkFrameCarriesTraceIdentity locks the dispatcher-side fill
+// path: a RemoteChunk's campaign/batch/chunk identity lands on the
+// outbound frame.
+func TestChunkFrameCarriesTraceIdentity(t *testing.T) {
+	c := sim.RemoteChunk{
+		Unit: iounit.UnitName, Seed: 1, Lo: 0, Hi: 8,
+		Campaign: "c000007", Batch: 3, Chunk: 99,
+	}
+	var f Frame
+	fillChunkFrame(&f, 11, c)
+	if f.Campaign != "c000007" || f.Batch != 3 || f.Chunk != 99 {
+		t.Fatalf("frame trace identity = %q/%d/%d", f.Campaign, f.Batch, f.Chunk)
+	}
+}
+
+// TestV2EncodeRejects checks the encoder refuses frames the binary
+// codec cannot represent instead of writing garbage.
 func TestV2EncodeRejects(t *testing.T) {
-	if _, err := appendFrameV2(nil, &Frame{Type: "martian"}); err == nil {
+	if _, err := appendFrame(nil, &Frame{Type: "martian"}); err == nil {
 		t.Fatal("unknown type encoded")
 	}
-	if _, err := appendFrameV2(nil, &Frame{Type: TypeChunk, Lo: -1}); err == nil {
+	if _, err := appendFrame(nil, &Frame{Type: TypeChunk, Lo: -1}); err == nil {
 		t.Fatal("negative field encoded")
 	}
 }
+
+// emptyTrailer is the encoding of a trace trailer with every field
+// zero: campaign length, batch, chunk, build length.
+var emptyTrailer = []byte{0, 0, 0, 0}
 
 // TestV2DecodeRejects checks malformed payloads are rejected rather
 // than misread: empty input, unknown types, truncations at every
 // boundary, phantom hit counts, and trailing bytes.
 func TestV2DecodeRejects(t *testing.T) {
-	valid, err := appendFrameV2(nil, &Frame{
+	tf := traceFrame()
+	valid, err := appendFrame(nil, &Frame{
 		Type: TypeResult, ID: 9, Hits: []uint64{1, 0, 300}, Sims: 3,
+		Campaign: tf.Campaign, Batch: tf.Batch, Chunk: tf.Chunk, Build: tf.Build,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var f Frame
-	if err := decodeFrameV2(nil, &f); err == nil {
+	if err := decodeFrame(nil, &f); err == nil {
 		t.Fatal("empty payload accepted")
 	}
 	for _, tb := range []byte{0, v2TypeError + 1, 200} {
 		p := append([]byte{tb}, valid[1:]...)
-		if err := decodeFrameV2(p, &f); err == nil {
+		if err := decodeFrame(p, &f); err == nil {
 			t.Fatalf("unknown type byte %d accepted", tb)
 		}
 	}
 	for cut := 1; cut < len(valid); cut++ {
-		if err := decodeFrameV2(valid[:cut], &f); err == nil {
+		if err := decodeFrame(valid[:cut], &f); err == nil {
 			t.Fatalf("truncation at %d/%d bytes accepted", cut, len(valid))
 		}
 	}
-	if err := decodeFrameV2(append(append([]byte{}, valid...), 0), &f); err == nil {
+	if err := decodeFrame(append(append([]byte{}, valid...), 0), &f); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
-	// A declared hit count beyond the remaining payload must be rejected
-	// before any allocation: rebuild the frame with nhits=200 and no
-	// hit bytes behind it.
-	noHits, err := appendFrameV2(nil, &Frame{Type: TypeResult, ID: 9, Sims: 3})
+	noHits, err := appendFrame(nil, &Frame{Type: TypeResult, ID: 9, Sims: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	phantom := append(noHits[:len(noHits)-1], 200, 1) // nhits varint = 200
-	if err := decodeFrameV2(phantom, &f); err == nil {
+	body, trailer := noHits[:len(noHits)-len(emptyTrailer)], noHits[len(noHits)-len(emptyTrailer):]
+	if !bytes.Equal(trailer, emptyTrailer) {
+		t.Fatalf("empty trailer encodes as %v, want %v", trailer, emptyTrailer)
+	}
+	// A declared hit count beyond the remaining payload must be rejected
+	// before any allocation: rebuild the frame with nhits=200 and only
+	// the trailer behind it.
+	phantom := append(append(append([]byte{}, body[:len(body)-1]...), 200, 1), emptyTrailer...) // nhits varint = 200
+	if err := decodeFrame(phantom, &f); err == nil {
 		t.Fatal("phantom hit count accepted")
+	}
+}
+
+// TestV3TrailerStrictness locks the failure modes of the trace
+// trailer: every frame carries one, so a payload that stops where the
+// trailer should start, or that runs on past it, is a protocol
+// violation that must fail loudly, not decode into a half-right frame.
+func TestV3TrailerStrictness(t *testing.T) {
+	f := traceFrame()
+	p, err := appendFrame(nil, &f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got Frame
+	if err := decodeFrame(append(append([]byte{}, p...), 0), &got); err == nil ||
+		!strings.Contains(err.Error(), "trailing") {
+		t.Fatalf("decode with a byte past the trailer: %v, want trailing-bytes error", err)
+	}
+	empty := f
+	empty.Campaign, empty.Batch, empty.Chunk, empty.Build = "", 0, 0, ""
+	noTrace, err := appendFrame(nil, &empty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasSuffix(noTrace, emptyTrailer) {
+		t.Fatalf("empty trailer missing from %v", noTrace)
+	}
+	// A payload that ends where the trace trailer should start is
+	// truncated.
+	if err := decodeFrame(noTrace[:len(noTrace)-len(emptyTrailer)], &got); err == nil {
+		t.Fatal("payload without a trailer accepted")
 	}
 }
 
@@ -278,14 +265,17 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 }
 
 func TestCodecOneWritePerFrame(t *testing.T) {
-	for _, version := range []int{ProtocolV1, ProtocolV2} {
+	f := &Frame{Type: TypeResult, ID: 1, Hits: []uint64{1, 2, 3}, Sims: 3}
+	for name, write := range map[string]func(io.Writer, *Frame) error{
+		"codec": (&codec{}).write,
+		"json":  WriteFrame,
+	} {
 		cw := &countingWriter{}
-		c := &codec{version: version}
-		if err := c.write(cw, &Frame{Type: TypeResult, ID: 1, Hits: []uint64{1, 2, 3}, Sims: 3}); err != nil {
+		if err := write(cw, f); err != nil {
 			t.Fatal(err)
 		}
 		if cw.writes != 1 {
-			t.Fatalf("v%d frame took %d Write calls, want 1", version, cw.writes)
+			t.Fatalf("%s frame took %d Write calls, want 1", name, cw.writes)
 		}
 	}
 }
@@ -294,7 +284,7 @@ func TestCodecOneWritePerFrame(t *testing.T) {
 // per-connection codec moves result frames with zero allocations on
 // both the encode and decode side.
 func TestCodecV2RoundTripAllocs(t *testing.T) {
-	c := &codec{version: ProtocolV2}
+	c := &codec{}
 	hits := make([]uint64, 512)
 	for i := range hits {
 		hits[i] = uint64(i * 7)
@@ -320,7 +310,7 @@ func TestCodecV2RoundTripAllocs(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("warm v2 result round-trip allocates %.1f times per frame, want 0", allocs)
+		t.Fatalf("warm result round-trip allocates %.1f times per frame, want 0", allocs)
 	}
 	if !reflect.DeepEqual(f.Hits, got.Hits) || got.Sims != f.Sims {
 		t.Fatal("round-trip corrupted the frame")
@@ -328,22 +318,19 @@ func TestCodecV2RoundTripAllocs(t *testing.T) {
 }
 
 func TestCheckModelFits(t *testing.T) {
-	if err := CheckModelFits(MaxEventsV2(), ProtocolV2); err != nil {
+	if err := CheckModelFits(MaxEventsV2()); err != nil {
 		t.Fatalf("boundary model rejected: %v", err)
 	}
-	err := CheckModelFits(MaxEventsV2()+1, ProtocolV2)
+	err := CheckModelFits(MaxEventsV2() + 1)
 	var mtl *ModelTooLargeError
 	if !errors.As(err, &mtl) {
 		t.Fatalf("err = %v, want *ModelTooLargeError", err)
 	}
-	if mtl.Events != MaxEventsV2()+1 || mtl.MaxEvents != MaxEventsV2() || mtl.Version != ProtocolV2 {
+	if mtl.Events != MaxEventsV2()+1 || mtl.MaxEvents != MaxEventsV2() {
 		t.Fatalf("error fields = %+v", mtl)
 	}
 	if errors.Is(err, ErrFrameTooLarge) {
 		t.Fatal("ModelTooLargeError must be distinguishable from ErrFrameTooLarge")
-	}
-	if err := CheckModelFits(1<<40, ProtocolV1); err == nil {
-		t.Fatal("absurd model accepted at v1")
 	}
 }
 
@@ -384,71 +371,21 @@ func TestFarmModelTooLarge(t *testing.T) {
 	}
 }
 
-// TestFarmMixedVersionFleet is the mixed-fleet acceptance test: one
-// worker pinned to v1 and one speaking v2 (and a dispatcher forced to
-// v1 against v2 workers), with and without fault injection, must all
-// produce the bit-identical aggregate with exactly-once accounting.
-func TestFarmMixedVersionFleet(t *testing.T) {
-	want := workload(t, nil, 0)
-	scenarios := []struct {
-		name      string
-		faults    []Faults
-		serverMax []int
-		dispMax   int
-		wantV1    bool
-		wantV2    bool
-	}{
-		{"one_v1_one_v2", []Faults{{}, {}}, []int{1, 0}, 0, true, true},
-		{"dispatcher_forced_v1", []Faults{{}, {}}, nil, 1, true, false},
-		{"mixed_under_faults", []Faults{{DuplicateEvery: 2}, {DropAfterFrames: 6}}, []int{1, 0}, 0, true, true},
-	}
-	for _, sc := range scenarios {
-		t.Run(sc.name, func(t *testing.T) {
-			rec := obs.NewRecorder()
-			d, _ := farmFixtureV(t, sc.faults, sc.serverMax, sc.dispMax, rec)
-			got := workload(t, d, d.Lanes())
-			diffCounts(t, sc.name, got, want)
-			// A tiny workload can finish on local fallback before every
-			// keeper's handshake lands; the connection counters are about
-			// the fleet, not the workload, so poll until the dials settle.
-			deadline := time.Now().Add(5 * time.Second)
-			snap := rec.Metrics.Snapshot()
-			for (sc.wantV1 && snap.Counters["farm.conns_v1"] == 0) ||
-				(sc.wantV2 && snap.Counters["farm.conns_v2"] == 0) {
-				if time.Now().After(deadline) {
-					break
-				}
-				time.Sleep(5 * time.Millisecond)
-				snap = rec.Metrics.Snapshot()
-			}
-			if sc.wantV1 && snap.Counters["farm.conns_v1"] == 0 {
-				t.Fatal("no v1 connections in a fleet that requires them")
-			}
-			if sc.wantV2 && snap.Counters["farm.conns_v2"] == 0 {
-				t.Fatal("no v2 connections in a fleet that requires them")
-			}
-			if !sc.wantV2 && snap.Counters["farm.conns_v2"] != 0 {
-				t.Fatalf("%d v2 connections under a v1-forced dispatcher", snap.Counters["farm.conns_v2"])
-			}
-		})
-	}
-}
-
 // FuzzWireDecodeV2 fuzzes the binary decoder with raw payloads: any
 // input either fails cleanly or yields a frame that re-encodes and
 // re-decodes to itself (semantic idempotence — overlong varints may
 // re-encode shorter, but never to a different frame).
 func FuzzWireDecodeV2(f *testing.F) {
 	seeds := []Frame{
-		{Type: TypeHello, Version: ProtocolV1, Max: ProtocolV2},
-		{Type: TypeWelcome, Version: ProtocolV1, Max: ProtocolV2, Capacity: 4},
-		{Type: TypeChunk, ID: 7, Unit: "iounit", Template: "template t { weight Mode { a: 1; } }", HasTemplate: true, Seed: 99, Lo: 8, Hi: 24},
-		{Type: TypeResult, ID: 7, Hits: []uint64{0, 1, 1 << 40}, Sims: 16},
+		{Type: TypeHello, Version: handshakeVersion, Max: ProtocolVersion, Build: "abc123def456"},
+		{Type: TypeWelcome, Version: handshakeVersion, Max: ProtocolVersion, Capacity: 4, Build: "abc123def456"},
+		traceFrame(),
+		{Type: TypeResult, ID: 7, Hits: []uint64{0, 1, 1 << 40}, Sims: 16, Campaign: "c000042", Batch: 13, Chunk: 123456},
 		{Type: TypePing, ID: 3},
 		{Type: TypeError, Err: "boom"},
 	}
 	for i := range seeds {
-		p, err := appendFrameV2(nil, &seeds[i])
+		p, err := appendFrame(nil, &seeds[i])
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -459,15 +396,15 @@ func FuzzWireDecodeV2(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 	f.Fuzz(func(t *testing.T, p []byte) {
 		var fr Frame
-		if err := decodeFrameV2(p, &fr); err != nil {
+		if err := decodeFrame(p, &fr); err != nil {
 			return
 		}
-		enc, err := appendFrameV2(nil, &fr)
+		enc, err := appendFrame(nil, &fr)
 		if err != nil {
 			t.Fatalf("decoded frame does not re-encode: %v (%+v)", err, fr)
 		}
 		var fr2 Frame
-		if err := decodeFrameV2(enc, &fr2); err != nil {
+		if err := decodeFrame(enc, &fr2); err != nil {
 			t.Fatalf("re-encoded frame does not decode: %v", err)
 		}
 		if !reflect.DeepEqual(fr, fr2) {
@@ -476,51 +413,7 @@ func FuzzWireDecodeV2(f *testing.F) {
 	})
 }
 
-// FuzzWireCrossVersion fuzzes structured frames through both codecs
-// and demands they agree: what v1 JSON round-trips and what v2 binary
-// round-trips must be the same frame.
-func FuzzWireCrossVersion(f *testing.F) {
-	f.Add(uint8(3), uint16(1), uint16(2), uint64(7), uint64(99), uint64(16),
-		uint16(0), uint16(64), "iounit", "", false, []byte{1, 2, 3, 4, 5, 6, 7, 8})
-	f.Add(uint8(6), uint16(0), uint16(0), uint64(0), uint64(0), uint64(0),
-		uint16(0), uint16(0), "", "it broke", false, []byte{})
-	f.Fuzz(func(t *testing.T, typeIdx uint8, version, capacity uint16, id, seed, sims uint64,
-		lo, hi uint16, unit, errMsg string, hasTmpl bool, hitsRaw []byte) {
-		hits := make([]uint64, 0, len(hitsRaw)/8)
-		for i := 0; i+8 <= len(hitsRaw); i += 8 {
-			var h uint64
-			for j := 0; j < 8; j++ {
-				h = h<<8 | uint64(hitsRaw[i+j])
-			}
-			hits = append(hits, h)
-		}
-		fr := quickFrame(typeIdx, version, capacity, id, seed, sims, lo, hi, unit, errMsg, hasTmpl, hits)
-		var buf bytes.Buffer
-		if err := WriteFrameV2(&buf, &fr); err != nil {
-			t.Fatalf("v2 encode: %v", err)
-		}
-		var v2 Frame
-		if err := ReadFrameV2(&buf, &v2); err != nil {
-			t.Fatalf("v2 decode: %v", err)
-		}
-		buf.Reset()
-		if err := WriteFrame(&buf, &fr); err != nil {
-			t.Fatalf("v1 encode: %v", err)
-		}
-		var v1 Frame
-		if err := ReadFrame(&buf, &v1); err != nil {
-			t.Fatalf("v1 decode: %v", err)
-		}
-		if !reflect.DeepEqual(fr, v2) {
-			t.Fatalf("v2 diverged from input:\n%+v\nvs\n%+v", v2, fr)
-		}
-		if !reflect.DeepEqual(v1, v2) {
-			t.Fatalf("codecs disagree:\n%+v\nvs\n%+v", v1, v2)
-		}
-	})
-}
-
-// TestReadFrameV2RejectsOversizedLength mirrors the v1 guard: a
+// TestReadFrameV2RejectsOversizedLength mirrors the JSON guard: a
 // declared length beyond MaxFrame fails before allocating.
 func TestReadFrameV2RejectsOversizedLength(t *testing.T) {
 	var hdr [4]byte
@@ -531,7 +424,7 @@ func TestReadFrameV2RejectsOversizedLength(t *testing.T) {
 	}
 }
 
-// TestWriteFrameV2RejectsOversized mirrors the v1 write guard.
+// TestWriteFrameV2RejectsOversized mirrors the JSON write guard.
 func TestWriteFrameV2RejectsOversized(t *testing.T) {
 	f := &Frame{Type: TypeChunk, Template: strings.Repeat("x", MaxFrame+1), HasTemplate: true}
 	if err := WriteFrameV2(io.Discard, f); !errors.Is(err, ErrFrameTooLarge) {

@@ -276,27 +276,27 @@ func (s *Scheduler) work(id int) {
 		if t.job.canceled() {
 			// Cancellation: the chunk still lands (so Wait returns and the
 			// job drains) but contributes nothing — no simulation runs.
-			completed := s.complete(t, nil)
 			if o != nil {
 				o.queue.Add(-1)
 				o.aborted.Inc()
-				if completed {
-					o.jobsDone.Inc()
-				}
 			}
+			completed := s.complete(t, nil)
+			if o != nil && completed {
+				o.jobsDone.Inc()
+			}
+			s.release(t, completed)
 			continue
 		}
 		scratch = scratchFor(scratch, t.job.total.Len())
 		if o == nil {
 			s.simulateChunkInto(t, scratch)
-			s.complete(t, scratch)
+			s.release(t, s.complete(t, scratch))
 			continue
 		}
 		o.queue.Add(-1)
 		sp := o.tracer.Span("sim", "chunk").WithTid(100 + id)
 		start := time.Now()
 		s.simulateChunkInto(t, scratch)
-		completed := s.complete(t, scratch)
 		dur := time.Since(start)
 		n := uint64(t.hi - t.lo)
 		if sp != nil {
@@ -310,9 +310,11 @@ func (s *Scheduler) work(id int) {
 		o.simNs.Observe(uint64(dur) / n)
 		o.chunks.Inc()
 		o.instances.Add(n)
+		completed := s.complete(t, scratch)
 		if completed {
 			o.jobsDone.Inc()
 		}
+		s.release(t, completed)
 	}
 }
 
@@ -329,14 +331,15 @@ func (s *Scheduler) remoteWork(lane int, r ChunkRunner) {
 	for t := range s.tasks {
 		o := s.obs
 		if t.job.canceled() {
-			completed := s.complete(t, nil)
 			if o != nil {
 				o.queue.Add(-1)
 				o.aborted.Inc()
-				if completed {
-					o.jobsDone.Inc()
-				}
 			}
+			completed := s.complete(t, nil)
+			if o != nil && completed {
+				o.jobsDone.Inc()
+			}
+			s.release(t, completed)
 			continue
 		}
 		n := uint64(t.hi - t.lo)
@@ -388,8 +391,8 @@ func (s *Scheduler) remoteWork(lane int, r ChunkRunner) {
 				s.simulateChunkInto(t, scratch)
 			}
 		}
-		completed := s.complete(t, scratch)
 		if o == nil {
+			s.release(t, s.complete(t, scratch))
 			continue
 		}
 		dur := time.Since(start)
@@ -409,9 +412,11 @@ func (s *Scheduler) remoteWork(lane int, r ChunkRunner) {
 		if remote {
 			o.remote.Inc()
 		}
+		completed := s.complete(t, scratch)
 		if completed {
 			o.jobsDone.Inc()
 		}
+		s.release(t, completed)
 	}
 }
 
@@ -440,6 +445,8 @@ func (s *Scheduler) simulateChunkInto(t chunk, dst *coverage.Counts) {
 // complete merges one chunk's aggregate into its job — exactly once per
 // chunk, whoever computed it — and reports whether it was the job's last
 // chunk (nil counts means the chunk contributes nothing: cancellation).
+// Callers record a chunk's metrics before completing it and release the
+// job only after, so Wait never returns before the job's counters are in.
 // Counts merging is commutative, so completion order does not affect
 // the result, and merging copies, so callers may reuse counts as their
 // scratch for the next chunk.
@@ -448,11 +455,14 @@ func (s *Scheduler) complete(t chunk, counts *coverage.Counts) bool {
 	j.mu.Lock()
 	j.total.Merge(counts)
 	j.mu.Unlock()
-	if j.pending.Add(-1) == 0 {
-		close(j.done)
-		return true
+	return j.pending.Add(-1) == 0
+}
+
+// release wakes the job's waiters once its last chunk has landed.
+func (s *Scheduler) release(t chunk, last bool) {
+	if last {
+		close(t.job.done)
 	}
-	return false
 }
 
 // Close shuts the pool down; idle workers and remote lanes exit after
