@@ -10,6 +10,7 @@
 package repro
 
 import (
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -237,6 +238,27 @@ func (f *ablationFixture) trueValue(x []float64) float64 {
 	return f.target.Score(mustRun(f.env, tmpl, 2000))
 }
 
+// optimize drives one registered engine on f from x0 — the same
+// opt.New + opt.Drive path the flow takes. spec is the engine's params
+// struct (opt.IFSpec, opt.NelderMeadSpec, ...), marshalled into the
+// params blob; maxEvals 0 means no eval budget.
+func optimize(b *testing.B, name string, f opt.Objective, x0 []float64, maxEvals int, seed uint64, spec any) opt.Result {
+	b.Helper()
+	params, err := json.Marshal(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := opt.New(name, opt.EngineConfig{X0: x0, MaxEvals: maxEvals, RNG: rng.New(seed)}, params)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := opt.Drive(eng, opt.DriveOptions{Objective: f})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
 // BenchmarkAblationSamplesPerPoint varies N, the sims per objective
 // sample (paper Section IV-E: larger N cuts noise but costs sims).
 func BenchmarkAblationSamplesPerPoint(b *testing.B) {
@@ -244,12 +266,7 @@ func BenchmarkAblationSamplesPerPoint(b *testing.B) {
 		b.Run(map[int]string{25: "N25", 100: "N100", 400: "N400"}[n], func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				fix := ablationSetup(b, uint64(i+1))
-				res, err := opt.ImplicitFiltering(fix.objective(n), fix.x0, opt.Options{
-					Directions: 11, MaxIterations: 8, RNG: rng.New(uint64(i + 7)),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := optimize(b, opt.DefaultEngine, fix.objective(n), fix.x0, 0, uint64(i+7), opt.IFSpec{Directions: 11, Iterations: 8})
 				b.ReportMetric(fix.trueValue(res.X), "true_target")
 				b.ReportMetric(float64(res.Evals*n), "sims")
 			}
@@ -263,12 +280,7 @@ func BenchmarkAblationDirections(b *testing.B) {
 		b.Run(map[int]string{5: "n5", 11: "n11", 19: "n19"}[n], func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				fix := ablationSetup(b, uint64(i+1))
-				res, err := opt.ImplicitFiltering(fix.objective(100), fix.x0, opt.Options{
-					Directions: n, MaxIterations: 8, RNG: rng.New(uint64(i + 7)),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := optimize(b, opt.DefaultEngine, fix.objective(100), fix.x0, 0, uint64(i+7), opt.IFSpec{Directions: n, Iterations: 8})
 				b.ReportMetric(fix.trueValue(res.X), "true_target")
 			}
 		})
@@ -281,12 +293,7 @@ func BenchmarkAblationStencil(b *testing.B) {
 		b.Run(map[float64]string{6.25: "h6", 25: "h25", 50: "h50"}[h], func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				fix := ablationSetup(b, uint64(i+1))
-				res, err := opt.ImplicitFiltering(fix.objective(100), fix.x0, opt.Options{
-					Directions: 11, MaxIterations: 8, InitialStep: h, RNG: rng.New(uint64(i + 7)),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := optimize(b, opt.DefaultEngine, fix.objective(100), fix.x0, 0, uint64(i+7), opt.IFSpec{Directions: 11, Iterations: 8, InitialStep: h})
 				b.ReportMetric(fix.trueValue(res.X), "true_target")
 			}
 		})
@@ -308,12 +315,7 @@ func BenchmarkAblationNoSampling(b *testing.B) {
 				if !sampled {
 					x0 = fix.skel.RandomWeights(rng.New(uint64(i + 99)))
 				}
-				res, err := opt.ImplicitFiltering(fix.objective(100), x0, opt.Options{
-					Directions: 11, MaxIterations: 8, RNG: rng.New(uint64(i + 7)),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := optimize(b, opt.DefaultEngine, fix.objective(100), x0, 0, uint64(i+7), opt.IFSpec{Directions: 11, Iterations: 8})
 				b.ReportMetric(fix.trueValue(res.X), "true_target")
 			}
 		})
@@ -346,12 +348,7 @@ func BenchmarkAblationRawTarget(b *testing.B) {
 					}
 					return objTarget.Score(mustRun(fix.env, tmpl, 100))
 				}
-				res, err := opt.ImplicitFiltering(obj, fix.x0, opt.Options{
-					Directions: 11, MaxIterations: 8, RNG: rng.New(uint64(i + 7)),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := optimize(b, opt.DefaultEngine, obj, fix.x0, 0, uint64(i+7), opt.IFSpec{Directions: 11, Iterations: 8})
 				// Judge both by the same approximated target so the
 				// numbers are comparable.
 				b.ReportMetric(fix.trueValue(res.X), "true_target")
@@ -387,12 +384,7 @@ func BenchmarkAblationWeightedTarget(b *testing.B) {
 					}
 					return objTarget.Score(mustRun(fix.env, tmpl, 100))
 				}
-				res, err := opt.ImplicitFiltering(obj, fix.x0, opt.Options{
-					Directions: 11, MaxIterations: 8, RNG: rng.New(uint64(i + 7)),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := optimize(b, opt.DefaultEngine, obj, fix.x0, 0, uint64(i+7), opt.IFSpec{Directions: 11, Iterations: 8})
 				// Judge by deep-event coverage: the sum of byp09..16 hit
 				// rates of the returned template (the frontier reachable
 				// at bench-scale budgets).
@@ -411,49 +403,26 @@ func BenchmarkAblationWeightedTarget(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationOptimizers compares implicit filtering with the
-// baselines under an equal simulation budget.
+// BenchmarkAblationOptimizers compares every registered engine under
+// an equal simulation budget: 100 objective evaluations of 100 sims
+// each. Iteration caps sit above the budget so the budget binds.
 func BenchmarkAblationOptimizers(b *testing.B) {
-	const budget = 100 // objective evaluations, 100 sims each
-	run := func(b *testing.B, f func(fix *ablationFixture, i int) (opt.Result, error)) {
-		for i := 0; i < b.N; i++ {
-			fix := ablationSetup(b, uint64(i+1))
-			res, err := f(fix, i)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(fix.trueValue(res.X), "true_target")
-		}
+	const budget = 100
+	specs := map[string]any{
+		opt.DefaultEngine: opt.IFSpec{Directions: 11, Iterations: 100, MinStep: 1e-9},
+		"nelder_mead":     opt.NelderMeadSpec{Iterations: 100, InitialStep: 25},
+		"bayes":           opt.BayesSpec{Iterations: budget},
+		"ranker":          opt.RankerSpec{Iterations: budget},
 	}
-	b.Run("implicit_filtering", func(b *testing.B) {
-		run(b, func(fix *ablationFixture, i int) (opt.Result, error) {
-			return opt.ImplicitFiltering(fix.objective(100), fix.x0, opt.Options{
-				Directions: 11, MaxIterations: 100, MaxEvals: budget,
-				MinStep: 1e-9, RNG: rng.New(uint64(i + 7)),
-			})
+	for _, name := range opt.EngineNames() {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				fix := ablationSetup(b, uint64(i+1))
+				res := optimize(b, name, fix.objective(100), fix.x0, budget, uint64(i+7), specs[name])
+				b.ReportMetric(fix.trueValue(res.X), "true_target")
+			}
 		})
-	})
-	b.Run("random_search", func(b *testing.B) {
-		run(b, func(fix *ablationFixture, i int) (opt.Result, error) {
-			return opt.RandomSearch(fix.objective(100), fix.skel.Dim(), opt.Options{
-				MaxEvals: budget, RNG: rng.New(uint64(i + 7)),
-			})
-		})
-	})
-	b.Run("compass_search", func(b *testing.B) {
-		run(b, func(fix *ablationFixture, i int) (opt.Result, error) {
-			return opt.CompassSearch(fix.objective(100), fix.x0, opt.Options{
-				MaxIterations: 100, MaxEvals: budget, MinStep: 1e-9, RNG: rng.New(uint64(i + 7)),
-			})
-		})
-	})
-	b.Run("nelder_mead", func(b *testing.B) {
-		run(b, func(fix *ablationFixture, i int) (opt.Result, error) {
-			return opt.NelderMead(fix.objective(100), fix.x0, opt.Options{
-				MaxIterations: 100, MaxEvals: budget, InitialStep: 25,
-			})
-		})
-	})
+	}
 }
 
 // BenchmarkAblationResampleCenter toggles the paper's center-resampling
@@ -467,13 +436,7 @@ func BenchmarkAblationResampleCenter(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				fix := ablationSetup(b, uint64(i+1))
-				res, err := opt.ImplicitFiltering(fix.objective(50), fix.x0, opt.Options{
-					Directions: 11, MaxIterations: 8,
-					NoResampleCenter: !resample, RNG: rng.New(uint64(i + 7)),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := optimize(b, opt.DefaultEngine, fix.objective(50), fix.x0, 0, uint64(i+7), opt.IFSpec{Directions: 11, Iterations: 8, NoResampleCenter: !resample})
 				b.ReportMetric(fix.trueValue(res.X), "true_target")
 			}
 		})

@@ -184,12 +184,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	srv := &http.Server{Handler: svc.Handler()}
-	fmt.Fprintf(stdout, "cdgd: listening on %s (data %s, owner %s, max-running %d, max-queue %d%s)\n",
-		ln.Addr(), *dataDir, svc.Owner(), *maxRunning, *maxQueue, farmBanner)
-
+	// Catch signals before announcing the address: a SIGTERM right after
+	// the banner must drain, not kill the process.
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	defer signal.Stop(sigc)
+	fmt.Fprintf(stdout, "cdgd: listening on %s (data %s, owner %s, max-running %d, max-queue %d%s)\n",
+		ln.Addr(), *dataDir, svc.Owner(), *maxRunning, *maxQueue, farmBanner)
 	serveDone := make(chan struct{})
 	go func() {
 		select {

@@ -31,11 +31,7 @@ func chaosConfig() core.Config {
 
 func chaosCampaign() Campaign {
 	return Campaign{
-		NewFlow: func(journal string) (*core.Flow, error) {
-			cfg := chaosConfig()
-			cfg.Journal = journal
-			return core.New(iounit.New(), cfg)
-		},
+		NewFlow: newChaosFlow,
 		Run: func(f *core.Flow) (any, error) {
 			reports, err := f.RunFamilyRefined(context.Background(), iounit.FamilyName, 0.4, 1)
 			if err != nil {
@@ -46,22 +42,53 @@ func chaosCampaign() Campaign {
 	}
 }
 
+// perEventCampaign journals a RunPerEventShared flow: shared corpus and
+// sampling, then one optimize + harvest record group per target.
+func perEventCampaign() Campaign {
+	return Campaign{
+		NewFlow: newChaosFlow,
+		Run: func(f *core.Flow) (any, error) {
+			reports, err := f.RunPerEventShared(context.Background(), iounit.FamilyName, 0.4)
+			if err != nil {
+				return nil, err
+			}
+			return reports, nil
+		},
+	}
+}
+
+func newChaosFlow(journal string) (*core.Flow, error) {
+	cfg := chaosConfig()
+	cfg.Journal = journal
+	return core.New(iounit.New(), cfg)
+}
+
 // TestKillAtEveryAppendBoundary is the PR's central robustness
 // property: a flow killed at ANY journal append — cleanly at the record
 // boundary, or mid-frame with a torn partial write on disk — must
 // resume into a bit-identical result. The sweep covers every record the
-// campaign journals.
+// campaign journals, for a refined-family run and a per-event run.
 func TestKillAtEveryAppendBoundary(t *testing.T) {
 	before := runtime.NumGoroutine()
 
-	trials, err := chaosCampaign().Sweep(t.TempDir(), []int{0, 7})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name     string
+		campaign Campaign
+	}{
+		{"family", chaosCampaign()},
+		{"per_event", perEventCampaign()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			trials, err := tc.campaign.Sweep(t.TempDir(), []int{0, 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if trials < 20 {
+				t.Fatalf("sweep ran only %d trials; the campaign journals too few records to be a meaningful test", trials)
+			}
+			t.Logf("chaos sweep: %d crash+resume trials, all bit-identical", trials)
+		})
 	}
-	if trials < 20 {
-		t.Fatalf("sweep ran only %d trials; the campaign journals too few records to be a meaningful test", trials)
-	}
-	t.Logf("chaos sweep: %d crash+resume trials, all bit-identical", trials)
 
 	// Every killed flow was Closed; its workers must be gone. Allow the
 	// runtime a moment to retire exiting goroutines.

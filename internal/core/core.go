@@ -410,8 +410,20 @@ func (f *Flow) runFamily(ctx context.Context, family string, decay float64) (*Re
 	if err := f.ensureCorpus(); err != nil {
 		return nil, err
 	}
-	// Real targets: the family events still uncovered after the corpus.
 	ph := f.rec.PhaseStart("neighbors", map[string]any{"family": family, "decay": decay})
+	targets := f.uncoveredTargets(famIDs)
+	ws, err := neighbors.Ordinal(model, family, targets, decay)
+	ph.End(map[string]any{"targets": len(targets), "approx_events": len(ws)})
+	if err != nil {
+		return nil, err
+	}
+	return f.Run(ctx, neighbors.NewTarget(ws), targets)
+}
+
+// uncoveredTargets returns the real targets of a family: the events
+// still uncovered after the corpus, or — when everything is already
+// covered — the deepest (last) member.
+func (f *Flow) uncoveredTargets(famIDs []int) []int {
 	var targets []int
 	for _, id := range famIDs {
 		if f.repo.Total().Hits(id) == 0 {
@@ -419,15 +431,9 @@ func (f *Flow) runFamily(ctx context.Context, family string, decay float64) (*Re
 		}
 	}
 	if len(targets) == 0 {
-		// Everything already covered: aim at the deepest (last) member.
-		targets = famIDs[len(famIDs)-1:]
+		return famIDs[len(famIDs)-1:]
 	}
-	ws, err := neighbors.Ordinal(model, family, targets, decay)
-	ph.End(map[string]any{"targets": len(targets), "approx_events": len(ws)})
-	if err != nil {
-		return nil, err
-	}
-	return f.Run(ctx, neighbors.NewTarget(ws), targets)
+	return targets
 }
 
 // RunCross is the entry point for cross-product coverage (the paper's
@@ -553,7 +559,6 @@ func (f *Flow) run(target *neighbors.Target, targetEvents []int) (*Report, error
 	if err := f.syncRunStart(target, targetEvents); err != nil {
 		return nil, err
 	}
-	model := f.env.Unit().Model()
 	simsAtStart := f.env.Simulations()
 	report := &Report{
 		Unit:         f.env.Unit().Name(),
@@ -566,17 +571,60 @@ func (f *Flow) run(target *neighbors.Target, targetEvents []int) (*Report, error
 		Counts:      f.repo.Total().Clone(),
 	})
 
-	// Coarse-grained search (paper Section IV-B). The repository may
-	// contain statistics for templates whose bodies the flow does not
-	// have (e.g. templates harvested by earlier runs against a shared
-	// corpus); only templates with known bodies can seed the skeleton,
-	// so rank all templates and keep the best TopTemplates known ones.
+	chosen, candidate, skel, err := f.coarseSearch(target)
+	if err != nil {
+		return nil, err
+	}
+	report.ChosenTemplates = chosen
+	report.Candidate = candidate
+	report.Skeleton = skel
+
+	r := rng.New(f.cfg.Seed).SplitString("cdg-runner")
+
+	// Random sample phase (paper Section IV-D).
+	phSample := f.rec.PhaseStart("sampling", map[string]any{
+		"templates": f.cfg.SampleTemplates, "sims_each": f.cfg.SampleSims,
+	})
+	samples, samplePhase, err := f.samplePhase(skel, r.SplitString("sample"))
+	if err != nil {
+		phSample.End(nil)
+		return nil, err
+	}
+	bestX, bestStart := bestSample(samples, target)
+	phSample.End(map[string]any{"best_score": bestStart})
+	report.Phases = append(report.Phases, PhaseStats{
+		Name:        "sampling",
+		Description: fmt.Sprintf("%d tests x %d sims each", f.cfg.SampleTemplates, f.cfg.SampleSims),
+		Counts:      samplePhase,
+	})
+
+	// Optimization (paper Section IV-E) and harvest (Section IV-F).
+	name := fmt.Sprintf("%s_cdg_best_%d", f.env.Unit().Name(), f.round+1)
+	if err := f.optimizeAndHarvest(report, bestX, bestStart, r.SplitString("optimize"), name, nil); err != nil {
+		return nil, err
+	}
+
+	report.TotalSims = f.env.Simulations() - simsAtStart
+	if err := f.syncRunDone(report.TotalSims); err != nil {
+		return nil, err
+	}
+	return report, nil
+}
+
+// coarseSearch is the coarse-grained search (paper Section IV-B) and
+// the skeleton it defines (Section IV-C). The repository may contain
+// statistics for templates whose bodies the flow does not have (e.g.
+// templates harvested by earlier runs against a shared corpus); only
+// templates with known bodies can seed the skeleton, so it ranks all
+// templates and keeps the best TopTemplates known ones, merges them
+// into one candidate, and skeletonizes it.
+func (f *Flow) coarseSearch(target *neighbors.Target) ([]tac.TemplateScore, *template.Template, *skeleton.Skeleton, error) {
 	phTac := f.rec.PhaseStart("tac", map[string]any{"approx_events": target.Len()})
 	stats := tac.New(f.repo)
 	ranked, err := stats.BestTemplates(target.Events(), target.Weights(), 0)
 	if err != nil {
 		phTac.End(nil)
-		return nil, err
+		return nil, nil, nil, err
 	}
 	ranked = blendTACPrior(ranked, f.cfg.TACPrior)
 	byName := map[string]*template.Template{}
@@ -601,13 +649,10 @@ func (f *Flow) run(target *neighbors.Target, targetEvents []int) (*Report, error
 	}
 	phTac.End(map[string]any{"chosen": len(best)})
 	if len(best) == 0 || best[0].Score == 0 {
-		return nil, fmt.Errorf("core: no existing template shows evidence for the approximated target; widen the neighborhood")
+		return nil, nil, nil, fmt.Errorf("core: no existing template shows evidence for the approximated target; widen the neighborhood")
 	}
-	report.ChosenTemplates = best
 	candidate := MergeTemplates(f.env.Unit().Name()+"_cdg_candidate", chosen)
-	report.Candidate = candidate
 
-	// Skeletonize (paper Section IV-C).
 	phSkel := f.rec.PhaseStart("skeleton", map[string]any{"candidate": candidate.Name})
 	skel, err := skeleton.Skeletonize(candidate, skeleton.Options{
 		IncludeZeroWeights: f.cfg.IncludeZeroWeights,
@@ -616,39 +661,44 @@ func (f *Flow) run(target *neighbors.Target, targetEvents []int) (*Report, error
 	})
 	if err != nil {
 		phSkel.End(nil)
-		return nil, err
+		return nil, nil, nil, err
 	}
-	report.Skeleton = skel
 	phSkel.End(map[string]any{"dim": skel.Dim()})
+	return best, candidate, skel, nil
+}
 
-	r := rng.New(f.cfg.Seed).SplitString("cdg-runner")
-
-	// Random sample phase (paper Section IV-D).
-	phSample := f.rec.PhaseStart("sampling", map[string]any{
-		"templates": f.cfg.SampleTemplates, "sims_each": f.cfg.SampleSims,
-	})
-	samples, samplePhase, err := f.samplePhase(skel, r.SplitString("sample"))
-	if err != nil {
-		phSample.End(nil)
-		return nil, err
+// optimizeAndHarvest is the one place the flow drives an optimizer
+// engine. It optimizes report.Target over report.Skeleton's box from
+// x0 (the optimization phase, paper Section IV-E, Algorithm 1), then
+// measures the best point standalone as a template called name (the
+// harvest, Section IV-F), and fills in the report's optimization and
+// best phases, progress, and best weights and template. The harvested
+// template joins the repository and the known template bodies, and the
+// round counter advances. attrs, when non-nil, are added to both
+// phases' start attributes.
+//
+// With a journal armed, checkpointed iterations replay from opt_iter
+// records and the harvest from its harvest record; a run's opt_iter
+// records end at its harvest record, so several optimize + harvest
+// passes in one flow each replay exactly their own records.
+func (f *Flow) optimizeAndHarvest(report *Report, x0 []float64, startScore float64, r *rng.RNG, name string, attrs map[string]any) error {
+	model := f.env.Unit().Model()
+	skel := report.Skeleton
+	optAttrs := map[string]any{
+		"iterations": f.cfg.OptIterations, "directions": f.cfg.OptDirections,
+		"sims_per_point": f.cfg.OptSims, "start_score": startScore,
 	}
-	bestX, bestStart := bestSample(samples, target)
-	phSample.End(map[string]any{"best_score": bestStart})
-	report.Phases = append(report.Phases, PhaseStats{
-		Name:        "sampling",
-		Description: fmt.Sprintf("%d tests x %d sims each", f.cfg.SampleTemplates, f.cfg.SampleSims),
-		Counts:      samplePhase,
-	})
+	harvestAttrs := map[string]any{"sims": f.cfg.BestSims}
+	for k, v := range attrs {
+		optAttrs[k] = v
+		harvestAttrs[k] = v
+	}
 
-	// Optimization phase (paper Section IV-E, Algorithm 1). The n
-	// stencil probes of an iteration are independent, so they are
+	// The n stencil probes of an iteration are independent, so they are
 	// submitted as concurrent jobs on the environment's scheduler; batch
 	// seeds are assigned in point order, keeping the run bit-identical
 	// to sequential evaluation.
-	phOpt := f.rec.PhaseStart("optimization", map[string]any{
-		"iterations": f.cfg.OptIterations, "directions": f.cfg.OptDirections,
-		"sims_per_point": f.cfg.OptSims, "start_score": bestStart,
-	})
+	phOpt := f.rec.PhaseStart("optimization", optAttrs)
 	// Replay checkpointed iterations: the last opt_iter record carries
 	// the engine's complete resumable state and the cumulative phase
 	// aggregate, so the engine re-enters at the following iteration.
@@ -660,18 +710,18 @@ func (f *Flow) run(target *neighbors.Target, targetEvents []int) (*Report, error
 		ok, err := f.cur.Take("opt_iter", &rec)
 		if err != nil {
 			phOpt.End(nil)
-			return nil, err
+			return err
 		}
 		if !ok {
 			break
 		}
 		if rec.Engine != engineName {
 			phOpt.End(nil)
-			return nil, fmt.Errorf("core: journal opt_iter record is from engine %q, flow uses %q", rec.Engine, engineName)
+			return fmt.Errorf("core: journal opt_iter record is from engine %q, flow uses %q", rec.Engine, engineName)
 		}
 		if len(rec.PhaseHits) != model.Size() {
 			phOpt.End(nil)
-			return nil, fmt.Errorf("core: journal opt_iter record has %d events, want %d", len(rec.PhaseHits), model.Size())
+			return fmt.Errorf("core: journal opt_iter record has %d events, want %d", len(rec.PhaseHits), model.Size())
 		}
 		optPhase = coverage.CountsFromRaw(rec.PhaseHits, rec.PhaseSims)
 		optResume = rec.State
@@ -696,23 +746,23 @@ func (f *Flow) run(target *neighbors.Target, targetEvents []int) (*Report, error
 	params, err := f.cfg.engineParams()
 	if err != nil {
 		phOpt.End(nil)
-		return nil, err
+		return err
 	}
 	eng, err := opt.New(engineName, opt.EngineConfig{
-		X0:          bestX,
+		X0:          x0,
 		Lo:          0,
 		Hi:          float64(skel.MaxWeight()),
 		TargetValue: f.cfg.TargetValue,
-		RNG:         r.SplitString("optimize"),
+		RNG:         r,
 		Recorder:    f.rec,
 		Prior:       f.cfg.Prior,
 	}, params)
 	if err != nil {
 		phOpt.End(nil)
-		return nil, err
+		return err
 	}
 	res, err := opt.Drive(eng, opt.DriveOptions{
-		Batch:      f.batchObjective(skel, target, optPhase, &batchErr),
+		Batch:      f.batchObjective(skel, report.Target, optPhase, &batchErr),
 		BatchSize:  f.cfg.OptDirections,
 		Context:    f.ctx,
 		Checkpoint: checkpoint,
@@ -723,7 +773,7 @@ func (f *Flow) run(target *neighbors.Target, targetEvents []int) (*Report, error
 	}
 	if err != nil {
 		phOpt.End(nil)
-		return nil, err
+		return err
 	}
 	phOpt.End(map[string]any{"best": res.Value, "evals": res.Evals})
 	report.Progress = res.History
@@ -734,23 +784,22 @@ func (f *Flow) run(target *neighbors.Target, targetEvents []int) (*Report, error
 		Counts: optPhase,
 	})
 
-	// Harvest (paper Section IV-F): measure the best template standalone.
-	// The round counter advances only after the phase succeeds, so a
-	// failed harvest neither skips a round number nor leaves the report
-	// and repository half-updated.
+	// Harvest: measure the best template standalone. The round counter
+	// advances only after the phase succeeds, so a failed harvest
+	// neither skips a round number nor leaves the report and repository
+	// half-updated.
 	report.BestWeights = res.X
-	name := fmt.Sprintf("%s_cdg_best_%d", f.env.Unit().Name(), f.round+1)
-	phHarvest := f.rec.PhaseStart("harvest", map[string]any{"sims": f.cfg.BestSims})
+	phHarvest := f.rec.PhaseStart("harvest", harvestAttrs)
 	bestTemplate, err := skel.Instantiate(name, res.X)
 	if err != nil {
 		phHarvest.End(nil)
-		return nil, err
+		return err
 	}
 	report.BestTemplate = bestTemplate
 	bestCounts, err := f.harvestCounts(bestTemplate)
 	if err != nil {
 		phHarvest.End(nil)
-		return nil, err
+		return err
 	}
 	phHarvest.End(map[string]any{"template": bestTemplate.Name})
 	report.Phases = append(report.Phases, PhaseStats{
@@ -765,12 +814,7 @@ func (f *Flow) run(target *neighbors.Target, targetEvents []int) (*Report, error
 	f.repo.RecordCounts(bestTemplate.Name, bestCounts)
 	f.extra[bestTemplate.Name] = bestTemplate
 	f.round++
-
-	report.TotalSims = f.env.Simulations() - simsAtStart
-	if err := f.syncRunDone(report.TotalSims); err != nil {
-		return nil, err
-	}
-	return report, nil
+	return nil
 }
 
 // harvestCounts measures the harvested template standalone — from the

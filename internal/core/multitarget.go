@@ -2,16 +2,10 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 
-	"repro/internal/coverage"
 	"repro/internal/neighbors"
-	"repro/internal/opt"
 	"repro/internal/rng"
-	"repro/internal/skeleton"
-	"repro/internal/tac"
-	"repro/internal/template"
 )
 
 // RunPerEventShared implements the paper's future-work direction
@@ -25,9 +19,12 @@ import (
 //   - the random-sample phase — each target picks its own best starting
 //     point from the same n x N simulations.
 //
-// Only the optimization and harvest phases run per target. Compared to
-// independent Run calls for k targets this saves (k-1) x (corpus +
-// sampling) simulations.
+// Only the optimization and harvest phases run per target, through the
+// same journaled optimizeAndHarvest as Run: a journaled per-event run
+// checkpoints every target's optimizer and harvest and resumes from
+// them, and, like Run, opens with a run_start record that refuses a
+// journal written for other targets. Compared to independent Run calls for k targets this saves
+// (k-1) x (corpus + sampling) simulations.
 //
 // It returns one report per target event, in family order. ctx cancels
 // as in RunFamily.
@@ -47,16 +44,7 @@ func (f *Flow) runPerEventShared(ctx context.Context, family string, decay float
 		return nil, err
 	}
 	simsAtStart := f.env.Simulations()
-
-	var targets []int
-	for _, id := range famIDs {
-		if f.repo.Total().Hits(id) == 0 {
-			targets = append(targets, id)
-		}
-	}
-	if len(targets) == 0 {
-		targets = famIDs[len(famIDs)-1:]
-	}
+	targets := f.uncoveredTargets(famIDs)
 
 	// Shared coarse-grained search, driven by the union target.
 	phN := f.rec.PhaseStart("neighbors", map[string]any{"family": family, "decay": decay})
@@ -66,50 +54,13 @@ func (f *Flow) runPerEventShared(ctx context.Context, family string, decay float
 		return nil, err
 	}
 	union := neighbors.NewTarget(unionWS)
-	phTac := f.rec.PhaseStart("tac", map[string]any{"approx_events": union.Len()})
-	stats := tac.New(f.repo)
-	ranked, err := stats.BestTemplates(union.Events(), union.Weights(), 0)
-	if err != nil {
-		phTac.End(nil)
+	if err := f.syncRunStart(union, targets); err != nil {
 		return nil, err
 	}
-	ranked = blendTACPrior(ranked, f.cfg.TACPrior)
-	byName := map[string]*template.Template{}
-	for _, t := range f.env.Unit().BaseTemplates() {
-		byName[t.Name] = t
-	}
-	for name, t := range f.extra {
-		byName[name] = t
-	}
-	var chosenScores []tac.TemplateScore
-	var chosen []*template.Template
-	for _, ts := range ranked {
-		t, ok := byName[ts.Name]
-		if !ok {
-			continue
-		}
-		chosenScores = append(chosenScores, ts)
-		chosen = append(chosen, t)
-		if len(chosen) == f.cfg.TopTemplates {
-			break
-		}
-	}
-	phTac.End(map[string]any{"chosen": len(chosen)})
-	if len(chosen) == 0 || chosenScores[0].Score == 0 {
-		return nil, fmt.Errorf("core: no existing template shows evidence for the family %q", family)
-	}
-	candidate := MergeTemplates(f.env.Unit().Name()+"_cdg_candidate", chosen)
-	phSkel := f.rec.PhaseStart("skeleton", map[string]any{"candidate": candidate.Name})
-	skel, err := skeleton.Skeletonize(candidate, skeleton.Options{
-		IncludeZeroWeights: f.cfg.IncludeZeroWeights,
-		Subranges:          f.cfg.Subranges,
-		Mode:               f.cfg.SubrangeMode,
-	})
+	chosen, candidate, skel, err := f.coarseSearch(union)
 	if err != nil {
-		phSkel.End(nil)
 		return nil, err
 	}
-	phSkel.End(map[string]any{"dim": skel.Dim()})
 
 	// Shared random sampling.
 	phSample := f.rec.PhaseStart("sampling", map[string]any{
@@ -135,7 +86,7 @@ func (f *Flow) runPerEventShared(ctx context.Context, family string, decay float
 			Unit:            f.env.Unit().Name(),
 			Target:          target,
 			TargetEvents:    []int{ev},
-			ChosenTemplates: chosenScores,
+			ChosenTemplates: chosen,
 			Candidate:       candidate,
 			Skeleton:        skel,
 		}
@@ -152,77 +103,13 @@ func (f *Flow) runPerEventShared(ctx context.Context, family string, decay float
 		})
 
 		perTargetStart := f.env.Simulations()
-		optPhase := coverage.NewCountsFor(model)
 		x0, startScore := bestSample(samples, target)
-		phOpt := f.rec.PhaseStart("optimization", map[string]any{
-			"target": model.Name(ev), "start_score": startScore,
-		})
-		var batchErr error
-		params, err := f.cfg.engineParams()
-		if err != nil {
-			phOpt.End(nil)
+		evName := model.Name(ev)
+		name := fmt.Sprintf("%s_cdg_%s_best", f.env.Unit().Name(), evName)
+		if err := f.optimizeAndHarvest(report, x0, startScore, r.SplitString("optimize-"+evName), name,
+			map[string]any{"target": evName}); err != nil {
 			return nil, err
 		}
-		eng, err := opt.New(f.cfg.engineName(), opt.EngineConfig{
-			X0:          x0,
-			Lo:          0,
-			Hi:          float64(skel.MaxWeight()),
-			TargetValue: f.cfg.TargetValue,
-			RNG:         r.SplitString("optimize-" + model.Name(ev)),
-			Recorder:    f.rec,
-			Prior:       f.cfg.Prior,
-		}, params)
-		if err != nil {
-			phOpt.End(nil)
-			return nil, err
-		}
-		res, err := opt.Drive(eng, opt.DriveOptions{
-			Batch:      f.batchObjective(skel, target, optPhase, &batchErr),
-			BatchSize:  f.cfg.OptDirections,
-			Context:    f.ctx,
-			Checkpoint: func(json.RawMessage) error { return batchErr },
-		})
-		if err == nil && batchErr != nil {
-			err = batchErr
-		}
-		if err != nil {
-			phOpt.End(nil)
-			return nil, err
-		}
-		phOpt.End(map[string]any{"best": res.Value, "evals": res.Evals})
-		report.Progress = res.History
-		report.Phases = append(report.Phases, PhaseStats{
-			Name: "optimization",
-			Description: fmt.Sprintf("%d iterations x %d tests x %d sims",
-				len(res.History), f.cfg.OptDirections+1, f.cfg.OptSims),
-			Counts: optPhase,
-		})
-
-		report.BestWeights = res.X
-		phHarvest := f.rec.PhaseStart("harvest", map[string]any{
-			"target": model.Name(ev), "sims": f.cfg.BestSims,
-		})
-		bestTemplate, err := skel.Instantiate(
-			fmt.Sprintf("%s_cdg_%s_best", f.env.Unit().Name(), model.Name(ev)), res.X)
-		if err != nil {
-			phHarvest.End(nil)
-			return nil, err
-		}
-		report.BestTemplate = bestTemplate
-		bestCounts, err := f.env.Run(bestTemplate, f.cfg.BestSims)
-		if err != nil {
-			phHarvest.End(nil)
-			return nil, err
-		}
-		phHarvest.End(map[string]any{"template": bestTemplate.Name})
-		report.Phases = append(report.Phases, PhaseStats{
-			Name:        "best",
-			Description: fmt.Sprintf("%d sims", f.cfg.BestSims),
-			Counts:      bestCounts,
-		})
-		f.repo.RecordCounts(bestTemplate.Name, bestCounts)
-		f.extra[bestTemplate.Name] = bestTemplate
-		f.round++
 
 		// Per-target accounting: this target's own spend plus its share
 		// of the common phases.

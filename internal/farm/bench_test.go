@@ -190,7 +190,9 @@ func measureLocalSimsPerSec(t *testing.T) float64 {
 // TestFarmBenchTrajectory is the CI bench job: it measures the codec
 // and the full chunk path, guards the machine-normalized farm
 // throughput against the committed BENCH_farm.json baseline (>10%
-// regression fails), and rewrites the file with fresh numbers. Gated
+// regression fails), and rewrites the file with fresh numbers when the
+// guard passes. The farm/local ratio moves with GOMAXPROCS, so the
+// measurement runs at the baseline's recorded maxprocs. Gated
 // behind BENCH_FARM=1 because wall-clock numbers are meaningless on
 // noisy runners unless invoked deliberately. The codec's zero-alloc
 // promise is pinned separately, in every run, by
@@ -199,6 +201,18 @@ func TestFarmBenchTrajectory(t *testing.T) {
 	if os.Getenv("BENCH_FARM") == "" {
 		t.Skip("set BENCH_FARM=1 to run the farm bench trajectory guard")
 	}
+	var base benchRecord
+	if raw, err := os.ReadFile(benchFile); err == nil {
+		if err := json.Unmarshal(raw, &base); err != nil {
+			t.Fatalf("corrupt %s: %v", benchFile, err)
+		}
+	} else if !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	if base.MaxProcs > 0 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(base.MaxProcs))
+	}
+
 	frame := benchResultFrame(256)
 	res := testing.Benchmark(benchCodecRoundTrip(frame))
 	rec := benchRecord{
@@ -238,18 +252,11 @@ func TestFarmBenchTrajectory(t *testing.T) {
 		rec.LocalSimsPerSec, rec.FarmSimsPerSec, rec.FarmLocalRatio)
 
 	// Trajectory guard: compare the machine-normalized ratio against
-	// the committed baseline; a >10% drop is a protocol regression.
-	if raw, err := os.ReadFile(benchFile); err == nil {
-		var base benchRecord
-		if err := json.Unmarshal(raw, &base); err != nil {
-			t.Fatalf("corrupt %s: %v", benchFile, err)
-		}
-		if base.FarmLocalRatio > 0 && rec.FarmLocalRatio < base.FarmLocalRatio*0.90 {
-			t.Errorf("farm/local sims-per-sec ratio %.3f regressed >10%% vs committed baseline %.3f",
-				rec.FarmLocalRatio, base.FarmLocalRatio)
-		}
-	} else if !os.IsNotExist(err) {
-		t.Fatal(err)
+	// the committed baseline; a >10% drop is a protocol regression, and
+	// a regressed run does not become the new baseline.
+	if base.FarmLocalRatio > 0 && rec.FarmLocalRatio < base.FarmLocalRatio*0.90 {
+		t.Fatalf("farm/local sims-per-sec ratio %.3f at maxprocs %d regressed >10%% vs committed baseline %.3f",
+			rec.FarmLocalRatio, rec.MaxProcs, base.FarmLocalRatio)
 	}
 
 	out, err := json.MarshalIndent(&rec, "", "  ")

@@ -99,7 +99,8 @@ type PriorPoint struct {
 	Value float64   `json:"value"`
 }
 
-// withDefaults resolves the config's zero values like Options does.
+// withDefaults resolves the config's zero values: the [0, 100] box and
+// a generator seeded with 0.
 func (c EngineConfig) withDefaults() EngineConfig {
 	if c.Hi == 0 && c.Lo == 0 {
 		c.Hi = 100

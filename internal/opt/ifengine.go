@@ -9,8 +9,7 @@ import (
 	"repro/internal/rng"
 )
 
-// IFSpec holds implicit filtering's solver-specific knobs — the
-// stencil fields that used to live on the shared Options struct.
+// IFSpec holds implicit filtering's solver-specific knobs.
 type IFSpec struct {
 	// Directions is the number of random probe directions per iteration
 	// — the paper's n (default 10).
@@ -126,8 +125,8 @@ func newIFEngine(cfg EngineConfig, spec IFSpec) *ifEngine {
 
 func (e *ifEngine) Name() string { return DefaultEngine }
 
-// remaining mirrors evaluator.remaining: evals left under the budget,
-// with 0 meaning unlimited.
+// remaining returns the evals left under the budget, with 0 meaning
+// unlimited.
 func (e *ifEngine) remaining() int {
 	if e.maxEvals <= 0 {
 		return 1 << 30
@@ -253,7 +252,7 @@ func (e *ifEngine) Result() Result {
 	return Result{X: e.overallX, Value: e.overallBest, Evals: e.evals, History: e.history}
 }
 
-// state snapshots the run as the legacy IterState, valid after any
+// state snapshots the run as an IterState, valid after any
 // completed iteration.
 func (e *ifEngine) state() IterState {
 	return IterState{
@@ -289,7 +288,7 @@ func (e *ifEngine) Restore(state json.RawMessage) error {
 	return nil
 }
 
-// restoreState re-enters the run exactly as the legacy Resume path did:
+// restoreState re-enters the run at the checkpointed iteration:
 // trajectory state from the checkpoint, RNG reseeded from the raw
 // state, and the stop conditions the uninterrupted run checked right
 // after that iteration re-applied so a finished run stays finished.

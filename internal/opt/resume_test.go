@@ -10,14 +10,25 @@ import (
 	"repro/internal/rng"
 )
 
-// resumeOpts is a small deterministic run with every stop criterion in
+// resumeSpec is a small deterministic run with every stop criterion in
 // play (iterations, min step, target value all reachable).
-func resumeOpts() Options {
-	return Options{
-		Directions:    6,
-		MaxIterations: 18,
-		MinStep:       0.5,
-		RNG:           rng.New(9),
+var resumeSpec = IFSpec{Directions: 6, Iterations: 18, MinStep: 0.5}
+
+// resumeConfig starts a resumeSpec run at x0 with a fresh fixed seed.
+func resumeConfig(x0 []float64) EngineConfig {
+	return EngineConfig{X0: x0, RNG: rng.New(9)}
+}
+
+// collectStates is a Checkpoint hook decoding every raw payload into
+// the engine's typed IterState.
+func collectStates(states *[]IterState) func(json.RawMessage) error {
+	return func(raw json.RawMessage) error {
+		var st IterState
+		if err := json.Unmarshal(raw, &st); err != nil {
+			return err
+		}
+		*states = append(*states, st)
+		return nil
 	}
 }
 
@@ -29,12 +40,9 @@ func resumeOpts() Options {
 func TestResumeFromEveryCheckpointIsBitIdentical(t *testing.T) {
 	x0 := []float64{10, 20, 30}
 	var states []IterState
-	opts := resumeOpts()
-	opts.Checkpoint = func(st IterState) error {
-		states = append(states, st)
-		return nil
-	}
-	want, err := ImplicitFiltering(sphere, x0, opts)
+	want, err := drive(DefaultEngine, resumeConfig(x0), resumeSpec, DriveOptions{
+		Objective: sphere, Checkpoint: collectStates(&states),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,9 +67,9 @@ func TestResumeFromEveryCheckpointIsBitIdentical(t *testing.T) {
 
 		evals := 0
 		counting := func(x []float64) float64 { evals++; return sphere(x) }
-		ropts := resumeOpts()
-		ropts.Resume = &back
-		got, err := ImplicitFiltering(counting, x0, ropts)
+		got, err := drive(DefaultEngine, resumeConfig(x0), resumeSpec, DriveOptions{
+			Objective: counting, Resume: data,
+		})
 		if err != nil {
 			t.Fatalf("resume from checkpoint %d: %v", k, err)
 		}
@@ -81,21 +89,27 @@ func TestResumeFromEveryCheckpointIsBitIdentical(t *testing.T) {
 func TestResumeAfterTargetValueStop(t *testing.T) {
 	x0 := []float64{65, 65}
 	var states []IterState
-	opts := resumeOpts()
-	opts.TargetValue = -100
-	opts.Checkpoint = func(st IterState) error { states = append(states, st); return nil }
-	want, err := ImplicitFiltering(sphere, x0, opts)
+	cfg := resumeConfig(x0)
+	cfg.TargetValue = -100
+	want, err := drive(DefaultEngine, cfg, resumeSpec, DriveOptions{
+		Objective: sphere, Checkpoint: collectStates(&states),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want.Value < -100 {
 		t.Fatalf("run did not reach target (value %v)", want.Value)
 	}
+	last, err := json.Marshal(states[len(states)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
 	evals := 0
-	ropts := resumeOpts()
-	ropts.TargetValue = -100
-	ropts.Resume = &states[len(states)-1]
-	got, err := ImplicitFiltering(func(x []float64) float64 { evals++; return sphere(x) }, x0, ropts)
+	rcfg := resumeConfig(x0)
+	rcfg.TargetValue = -100
+	got, err := drive(DefaultEngine, rcfg, resumeSpec, DriveOptions{
+		Objective: func(x []float64) float64 { evals++; return sphere(x) }, Resume: last,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,15 +126,16 @@ func TestResumeAfterTargetValueStop(t *testing.T) {
 func TestImplicitFilteringCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	iters := 0
-	opts := resumeOpts()
-	opts.Context = ctx
-	opts.Checkpoint = func(IterState) error {
-		if iters++; iters == 3 {
-			cancel()
-		}
-		return nil
-	}
-	res, err := ImplicitFiltering(sphere, []float64{10, 10}, opts)
+	res, err := drive(DefaultEngine, resumeConfig([]float64{10, 10}), resumeSpec, DriveOptions{
+		Objective: sphere,
+		Context:   ctx,
+		Checkpoint: func(json.RawMessage) error {
+			if iters++; iters == 3 {
+				cancel()
+			}
+			return nil
+		},
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -130,16 +145,13 @@ func TestImplicitFilteringCancel(t *testing.T) {
 
 	// Canceled before the first evaluation: zero work.
 	evals := 0
-	copts := resumeOpts()
-	copts.Context = ctx
-	if _, err := ImplicitFiltering(func(x []float64) float64 { evals++; return 0 }, []float64{1}, copts); !errors.Is(err, context.Canceled) {
+	if _, err := drive(DefaultEngine, resumeConfig([]float64{1}), resumeSpec, DriveOptions{
+		Objective: func(x []float64) float64 { evals++; return 0 }, Context: ctx,
+	}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if evals != 0 {
 		t.Fatalf("canceled run evaluated %d points", evals)
-	}
-	if _, err := CompassSearch(sphere, []float64{1, 2}, copts); !errors.Is(err, context.Canceled) {
-		t.Fatalf("CompassSearch err = %v, want context.Canceled", err)
 	}
 }
 
@@ -148,14 +160,15 @@ func TestImplicitFilteringCancel(t *testing.T) {
 func TestCheckpointErrorAborts(t *testing.T) {
 	boom := errors.New("journal full")
 	iters := 0
-	opts := resumeOpts()
-	opts.Checkpoint = func(IterState) error {
-		if iters++; iters == 2 {
-			return boom
-		}
-		return nil
-	}
-	res, err := ImplicitFiltering(sphere, []float64{10, 10}, opts)
+	res, err := drive(DefaultEngine, resumeConfig([]float64{10, 10}), resumeSpec, DriveOptions{
+		Objective: sphere,
+		Checkpoint: func(json.RawMessage) error {
+			if iters++; iters == 2 {
+				return boom
+			}
+			return nil
+		},
+	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the checkpoint error", err)
 	}
