@@ -54,10 +54,13 @@ func WilsonZ(hits, n uint64, z float64) Interval {
 	margin := z / denom * math.Sqrt(p*(1-p)/nf+z2/(4*nf*nf))
 	lo := center - margin
 	hi := center + margin
-	if lo < 0 {
+	// At p = 0 (p = 1) the bound is exactly 0 (1), but center - margin
+	// can round to a tiny positive value (e.g. 6.9e-18 at 0/28), which
+	// would exclude the point estimate from its own interval.
+	if lo < 0 || hits == 0 {
 		lo = 0
 	}
-	if hi > 1 {
+	if hi > 1 || hits >= n {
 		hi = 1
 	}
 	return Interval{lo, hi}

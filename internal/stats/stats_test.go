@@ -30,6 +30,19 @@ func TestWilsonKnownValues(t *testing.T) {
 	}
 }
 
+func TestWilsonExactEndpoints(t *testing.T) {
+	// 0/28 used to give Lo = 6.9e-18 from rounding, an interval that
+	// excludes its own point estimate.
+	for _, n := range []uint64{1, 7, 28, 1000, 99991} {
+		if iv := Wilson(0, n); iv.Lo != 0 {
+			t.Fatalf("Wilson(0, %d).Lo = %g, want 0", n, iv.Lo)
+		}
+		if iv := Wilson(n, n); iv.Hi != 1 {
+			t.Fatalf("Wilson(%d, %d).Hi = %g, want 1", n, n, iv.Hi)
+		}
+	}
+}
+
 func TestWilsonZeroTrials(t *testing.T) {
 	iv := Wilson(0, 0)
 	if iv.Lo != 0 || iv.Hi != 1 {
